@@ -63,6 +63,7 @@ from .projection import (
 from .proportional import family_proportional, max_cross_minor, pair_proportional
 from .stateio import dump_state, dumps_state, load_state, loads_state
 from .states import (
+    MAX_QUBITS,
     Bipartition,
     StateVector,
     all_bipartitions,
@@ -85,6 +86,7 @@ __all__ = [
     "Certificate",
     "DEFAULT_ZERO_RTOL",
     "FactorizationWitness",
+    "MAX_QUBITS",
     "MAX_SCAN_QUBITS",
     "MeasureReport",
     "ProjectionResult",

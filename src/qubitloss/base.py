@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .proportional import family_proportional, pair_proportional
+from .proportional import check_tolerance, family_proportional, pair_proportional
 from .states import Bipartition, StateVector
 
 # Candidate splits in reporting order: single-qubit blocks first, then
@@ -76,69 +76,60 @@ def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.nd
     return arrays
 
 
-def _detect_exact(state: StateVector, tol: float, expected_n: int) -> BaseVerdict:
+def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:
+    """Witness for each candidate split that tests proportional, in
+    reporting order; none for the zero state."""
     n = state.num_qubits
-    if n != expected_n:
-        raise ValueError(f"expected a {expected_n}-qubit state, got {n} qubits")
+    if n not in CANDIDATE_SPLITS:
+        raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
+    check_tolerance(tol)
     amps = state.amplitudes
-    if np.abs(amps).max() == 0.0:
-        return BaseVerdict(genuinely_entangled=False, witness=None)
+    if not amps.any():
+        return
     for block in CANDIDATE_SPLITS[n]:
         vectors = [amps[g] for g in coefficient_groups(n, block)]
         if family_proportional(vectors, tol):
-            return BaseVerdict(
-                genuinely_entangled=False,
-                witness=FactorizationWitness(
-                    partition=Bipartition.from_block(n, block),
-                    family=tuple(tuple(map(complex, v)) for v in vectors),
-                ),
+            yield FactorizationWitness(
+                partition=Bipartition.from_block(n, block),
+                family=tuple(tuple(map(complex, v)) for v in vectors),
             )
-    return BaseVerdict(genuinely_entangled=True, witness=None)
+
+
+def _detect_n(state: StateVector, tol: float, expected_n: int) -> BaseVerdict:
+    if state.num_qubits != expected_n:
+        raise ValueError(f"expected a {expected_n}-qubit state, got {state.num_qubits} qubits")
+    return detect_base(state, tol)
 
 
 def detect_2q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
     """Two qubits: entangled iff (c0, c1) and (c2, c3) are not proportional."""
-    return _detect_exact(state, tol, 2)
+    return _detect_n(state, tol, 2)
 
 
 def detect_3q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
     """Three qubits: product iff one of the three 1-vs-2 splits is proportional."""
-    return _detect_exact(state, tol, 3)
+    return _detect_n(state, tol, 3)
 
 
 def detect_4q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
     """Four qubits: product iff one of the seven candidate splits is proportional."""
-    return _detect_exact(state, tol, 4)
+    return _detect_n(state, tol, 4)
 
 
 def detect_base(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
-    """Dispatch to the exact test for 2, 3 or 4 qubits."""
-    n = state.num_qubits
-    if n not in CANDIDATE_SPLITS:
-        raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
-    return _detect_exact(state, tol, n)
+    """Exact decision for 2, 3 or 4 qubits: genuine iff no candidate split
+    is proportional.  The zero state is not genuine and has no witness."""
+    witness = next(_proportional_splits(state, tol), None)
+    return BaseVerdict(
+        genuinely_entangled=witness is None and bool(state.amplitudes.any()),
+        witness=witness,
+    )
 
 
 def all_factorizations(state: StateVector, tol: float = 1e-9) -> List[FactorizationWitness]:
     """Every candidate split that tests proportional (fully product states
     report several)."""
-    n = state.num_qubits
-    if n not in CANDIDATE_SPLITS:
-        raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
-    amps = state.amplitudes
-    found = []
-    if np.abs(amps).max() == 0.0:
-        return found
-    for block in CANDIDATE_SPLITS[n]:
-        vectors = [amps[g] for g in coefficient_groups(n, block)]
-        if family_proportional(vectors, tol):
-            found.append(
-                FactorizationWitness(
-                    partition=Bipartition.from_block(n, block),
-                    family=tuple(tuple(map(complex, v)) for v in vectors),
-                )
-            )
-    return found
+    return list(_proportional_splits(state, tol))
 
 
 def sufficient_3q(state: StateVector, tol: float = 1e-9) -> SufficientCheck:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, check_qubit_count
 
 CATALOG_KEYS = (
     "GHZ",
@@ -111,6 +111,8 @@ def named_state(name: str, num_qubits: int | None = None) -> StateVector:
     entries reject any inconsistent ``num_qubits``.
     """
     key = name.strip().upper()
+    if num_qubits is not None:
+        check_qubit_count(num_qubits)
     if key in _FIXED_N:
         forced = _FIXED_N[key]
         if num_qubits is not None and num_qubits != forced:

@@ -6,7 +6,8 @@ Exit codes
     0  certified genuinely entangled (detect/oracle: genuine)
     1  certified not genuinely entangled (oracle: not genuine)
     2  inconclusive
-    3  usage or input error (bad file, zero state, unknown catalog key)
+    3  usage or input error (bad file, zero state, unknown catalog key,
+       more qubits than MAX_QUBITS, bad tolerance, any unexpected failure)
     4  verification failure (tables mismatch, oracle/detector
        contradiction, selftest failure)
 
@@ -37,6 +38,7 @@ from .detect import (
 )
 from .oracle import find_product_cut, oracle_genuine, partial_trace, ppt_2qubit
 from .projection import all_projections, lose_qubit, lose_qubit_set
+from .proportional import check_tolerance
 from .states import (
     StateVector,
     basis_state,
@@ -68,9 +70,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol", type=float, default=1e-9, metavar="REL",
+        "--tol", type=_tolerance, default=1e-9, metavar="REL",
         help="relative tolerance for all proportionality/rank tests (default 1e-9)",
     )
     parser.add_argument(
@@ -221,8 +230,8 @@ def cmd_project(args) -> int:
 def cmd_measure(args) -> int:
     state, source = _load_input(args)
     t0 = time.perf_counter()
-    verdict = detect(state, tol=args.tol)
     report_m = entanglement_measure(state, tol=args.tol)
+    verdict = report_m.verdict
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     report = _base_report(args, "measure", source, state)
@@ -475,6 +484,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"qubitloss: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # exits 0-2 claim a verdict; never let a crash claim one
+        message = " ".join(str(exc).split())
+        print(f"qubitloss: error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -8,19 +8,21 @@ one-sided: fewer than two certified projections proves nothing, and the
 verdict is then inconclusive (``wclass_3q()`` shows why: genuinely
 entangled, all projections product).
 
-Successful detections carry a replayable certificate tree.  Recursion is
-memoized on the subset of surviving qubit labels, which is sound because
-projections for different qubits commute.
+Successful detections carry a replayable certificate tree.  One walker
+serves ``detect``, ``entanglement_measure`` and ``detect_with_trace``; it
+is memoized on the subset of surviving qubit labels, which is sound
+because projections for different qubits commute.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
-from .base import BaseVerdict, FactorizationWitness, detect_base
+from .base import FactorizationWitness, detect_base
 from .projection import lose_qubit
+from .proportional import check_tolerance
 from .states import Bipartition, StateVector
 
 
@@ -60,12 +62,15 @@ class MeasureReport:
     ``genuine_count`` is exact when the projections fall in the exact
     regime (n - 1 <= 4) and is otherwise a certified lower bound.
     ``is_mes`` flags states all of whose projections are certified.
+    ``verdict`` is the state's own verdict, the one ``detect`` returns,
+    found by the same walk; the repr shows the per-projection fields only.
     """
 
     per_qubit: Tuple[Verdict, ...]
     genuine_count: int
     count_is_exact: bool
     is_mes: bool
+    verdict: Verdict = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,15 @@ class TraceReport:
 
 
 _EXACT_MAX = 4
+
+# The verdict of a child whose projection vanished (a product).
+_VANISHED = Verdict(kind=VerdictKind.NOT_GENUINE)
+
+_ROW_ENTRY = {
+    VerdictKind.GENUINE: "entangled",
+    VerdictKind.NOT_GENUINE: "product",
+    VerdictKind.INCONCLUSIVE: "inconclusive",
+}
 
 
 def _relabel_witness(
@@ -89,63 +103,83 @@ def _relabel_witness(
     return FactorizationWitness(partition=part, family=witness.family)
 
 
-def _detect_labeled(
+def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> Verdict:
+    """The exact test on 2..4 qubits; a lone qubit is a product."""
+    if len(labels) < 2:
+        return Verdict(kind=VerdictKind.NOT_GENUINE)
+    base = detect_base(state, tol)
+    if base.genuinely_entangled:
+        return Verdict(
+            kind=VerdictKind.GENUINE,
+            certificate=Certificate(qubits=labels, rule="exact"),
+        )
+    return Verdict(
+        kind=VerdictKind.NOT_GENUINE, witness=_relabel_witness(base.witness, labels)
+    )
+
+
+def _walk(
     state: StateVector,
     labels: Tuple[int, ...],
     tol: float,
     exhaustive: bool,
     cache: Optional[Dict[Tuple[int, ...], Verdict]],
+    row: Optional[List[Verdict]] = None,
 ) -> Verdict:
-    if cache is not None and labels in cache:
-        return cache[labels]
+    """Verdict on ``state``, whose qubits carry ``labels``.
+
+    Above the exact regime the children (one qubit lost each) are visited
+    in label order until two certify, or all of them when ``exhaustive``;
+    the certificate cites the first two certified.  Passing ``row`` (at
+    the root only) visits every child of the root whatever its size and
+    appends each child's verdict to ``row`` (``_VANISHED`` where the
+    projection vanished), while the subtrees below still stop early.
+    """
+    verdict = cache.get(labels) if cache is not None else None
+    if verdict is not None:
+        return verdict
     n = len(labels)
-    if n <= _EXACT_MAX:
-        base: BaseVerdict = detect_base(state, tol)
-        if base.genuinely_entangled:
-            verdict = Verdict(
-                kind=VerdictKind.GENUINE,
-                certificate=Certificate(qubits=labels, rule="exact"),
-            )
-        else:
-            verdict = Verdict(
-                kind=VerdictKind.NOT_GENUINE,
-                witness=_relabel_witness(base.witness, labels),
-            )
-    else:
-        certified: list[Tuple[int, Certificate]] = []
+    certified: List[Tuple[int, Certificate]] = []
+    if n > _EXACT_MAX or row is not None:
+        visit_all = exhaustive or row is not None
         for pos in range(1, n + 1):
-            if len(certified) >= 2 and not exhaustive:
+            if len(certified) >= 2 and not visit_all:
                 break
             child_labels = labels[: pos - 1] + labels[pos:]
             child = cache.get(child_labels) if cache is not None else None
             if child is None:
                 proj = lose_qubit(state, pos)
                 if proj.is_zero:
-                    child = Verdict(kind=VerdictKind.NOT_GENUINE)
+                    child = _VANISHED
                     if cache is not None:
                         cache[child_labels] = child
                 else:
-                    child = _detect_labeled(
-                        proj.state, child_labels, tol, exhaustive, cache
-                    )
+                    child = _walk(proj.state, child_labels, tol, exhaustive, cache)
+            if row is not None:
+                row.append(child)
             if child.kind is VerdictKind.GENUINE:
                 certified.append((labels[pos - 1], child.certificate))
-        if len(certified) >= 2:
-            (l1, c1), (l2, c2) = certified[0], certified[1]
-            verdict = Verdict(
-                kind=VerdictKind.GENUINE,
-                certificate=Certificate(
-                    qubits=labels,
-                    rule="two-projections",
-                    lost=(l1, l2),
-                    children=(c1, c2),
-                ),
-            )
-        else:
-            verdict = Verdict(kind=VerdictKind.INCONCLUSIVE)
+    if n <= _EXACT_MAX:
+        verdict = _leaf(state, labels, tol)
+    elif len(certified) >= 2:
+        lost, children = zip(*certified[:2])
+        verdict = Verdict(
+            kind=VerdictKind.GENUINE,
+            certificate=Certificate(labels, "two-projections", lost, children),
+        )
+    else:
+        verdict = Verdict(kind=VerdictKind.INCONCLUSIVE)
     if cache is not None:
         cache[labels] = verdict
     return verdict
+
+
+def _check_input(state: StateVector, min_qubits: int, what: str, tol: float) -> None:
+    if state.num_qubits < min_qubits:
+        raise ValueError(f"{what} needs at least {min_qubits} qubits")
+    if state.is_zero():
+        raise ValueError("cannot classify the zero state")
+    check_tolerance(tol)
 
 
 def detect(
@@ -164,13 +198,10 @@ def detect(
     verdict never changes, only the work done); ``memoize=False``
     disables the subset cache, for verification.
     """
-    n = state.num_qubits
-    if n < 2:
-        raise ValueError("detection needs at least two qubits")
-    if state.is_zero():
-        raise ValueError("cannot classify the zero state")
+    _check_input(state, 2, "detection", tol)
     cache: Optional[Dict[Tuple[int, ...], Verdict]] = {} if memoize else None
-    return _detect_labeled(state, tuple(range(1, n + 1)), tol, exhaustive, cache)
+    labels = tuple(range(1, state.num_qubits + 1))
+    return _walk(state, labels, tol, exhaustive, cache)
 
 
 def entanglement_measure(
@@ -178,32 +209,21 @@ def entanglement_measure(
 ) -> MeasureReport:
     """Count how many single-qubit-loss projections are certified genuine.
 
-    All n projections are examined (no early exit); the detections share
-    one subset cache.
+    All n projections are examined, each decided as ``detect`` would
+    decide it.  One walk with one subset cache yields both the counts and
+    the state's own verdict.
     """
-    n = state.num_qubits
-    if n < 3:
-        raise ValueError("the measure needs at least three qubits")
-    if state.is_zero():
-        raise ValueError("cannot classify the zero state")
-    labels = tuple(range(1, n + 1))
-    cache: Dict[Tuple[int, ...], Verdict] = {}
-    per_qubit = []
-    for k in range(1, n + 1):
-        proj = lose_qubit(state, k)
-        child_labels = labels[: k - 1] + labels[k:]
-        if proj.is_zero:
-            verdict = Verdict(kind=VerdictKind.NOT_GENUINE)
-            cache[child_labels] = verdict
-        else:
-            verdict = _detect_labeled(proj.state, child_labels, tol, False, cache)
-        per_qubit.append(verdict)
+    _check_input(state, 3, "the measure", tol)
+    per_qubit: List[Verdict] = []
+    labels = tuple(range(1, state.num_qubits + 1))
+    verdict = _walk(state, labels, tol, False, {}, per_qubit)
     count = sum(v.kind is VerdictKind.GENUINE for v in per_qubit)
     return MeasureReport(
         per_qubit=tuple(per_qubit),
         genuine_count=count,
-        count_is_exact=(n - 1) <= _EXACT_MAX,
-        is_mes=count == n,
+        count_is_exact=(state.num_qubits - 1) <= _EXACT_MAX,
+        is_mes=count == state.num_qubits,
+        verdict=verdict,
     )
 
 
@@ -213,33 +233,12 @@ def detect_with_trace(state: StateVector, tol: float = 1e-9) -> TraceReport:
     Row entries are "entangled", "product", "zero" or (for projections
     of six or more qubits that certify nothing) "inconclusive".
     """
-    n = state.num_qubits
-    if n < 2:
-        raise ValueError("detection needs at least two qubits")
-    if state.is_zero():
-        raise ValueError("cannot classify the zero state")
-    labels = tuple(range(1, n + 1))
-    cache: Dict[Tuple[int, ...], Verdict] = {}
-    verdict = _detect_labeled(state, labels, tol, False, cache)
-    row = []
-    for k in range(1, n + 1):
-        proj = lose_qubit(state, k)
-        if proj.is_zero:
-            row.append("zero")
-            continue
-        if n - 1 == 1:
-            row.append("product")
-            continue
-        child_labels = labels[: k - 1] + labels[k:]
-        child = _detect_labeled(proj.state, child_labels, tol, False, cache)
-        row.append(
-            {
-                VerdictKind.GENUINE: "entangled",
-                VerdictKind.NOT_GENUINE: "product",
-                VerdictKind.INCONCLUSIVE: "inconclusive",
-            }[child.kind]
-        )
-    return TraceReport(verdict=verdict, table=tuple(row))
+    _check_input(state, 2, "detection", tol)
+    children: List[Verdict] = []
+    labels = tuple(range(1, state.num_qubits + 1))
+    verdict = _walk(state, labels, tol, False, {}, children)
+    row = tuple("zero" if v is _VANISHED else _ROW_ENTRY[v.kind] for v in children)
+    return TraceReport(verdict=verdict, table=row)
 
 
 def replay_certificate(
@@ -251,8 +250,8 @@ def replay_certificate(
     tests at the leaves, with no caching.  True iff every step checks
     out.
     """
-    labels = tuple(range(1, state.num_qubits + 1))
-    return _replay(state, labels, certificate, tol)
+    check_tolerance(tol)
+    return _replay(state, tuple(range(1, state.num_qubits + 1)), certificate, tol)
 
 
 def _replay(
@@ -260,11 +259,11 @@ def _replay(
 ) -> bool:
     if node.qubits != labels:
         return False
-    n = len(labels)
     if node.rule == "exact":
-        if not 2 <= n <= _EXACT_MAX:
-            return False
-        return detect_base(state, tol).genuinely_entangled
+        return (
+            2 <= len(labels) <= _EXACT_MAX
+            and _leaf(state, labels, tol).kind is VerdictKind.GENUINE
+        )
     if node.rule != "two-projections" or node.lost is None or len(node.children) != 2:
         return False
     l1, l2 = node.lost
@@ -273,10 +272,9 @@ def _replay(
     for lost, child in zip(node.lost, node.children):
         pos = labels.index(lost) + 1
         proj = lose_qubit(state, pos)
-        if proj.is_zero:
-            return False
-        child_labels = labels[: pos - 1] + labels[pos:]
-        if not _replay(proj.state, child_labels, child, tol):
+        if proj.is_zero or not _replay(
+            proj.state, labels[: pos - 1] + labels[pos:], child, tol
+        ):
             return False
     return True
 

@@ -7,11 +7,24 @@ so zero entries need no special casing and the test is symmetric.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is finite and nonnegative, else raise ValueError.
+
+    A NaN threshold makes every comparison false (every family reads
+    entangled) and an infinite one makes every family proportional, so
+    either would fake a verdict.  Zero is allowed: exact arithmetic.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def max_cross_minor(u, v) -> float:
@@ -37,8 +50,7 @@ def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
     under rescaling either vector.  A numerically zero vector counts as
     proportional to anything (scaling factor zero).
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
     scale = float(np.abs(u).max(initial=0.0)) * float(np.abs(v).max(initial=0.0))

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, check_qubit_count
 
 
 def loads_state(text: str) -> StateVector:
@@ -71,6 +71,7 @@ def _loads_text(text: str) -> StateVector:
         raise ValueError(f"bad qubit count {header[1].strip()!r}") from None
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
+    check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     seen = set()
     for ln in lines[1:]:
@@ -102,6 +103,7 @@ def _loads_json(text: str) -> StateVector:
     n = doc["qubits"]
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"bad qubit count {n!r}")
+    check_qubit_count(n)
     pairs = doc["amplitudes"]
     if not isinstance(pairs, list) or len(pairs) != (1 << n):
         raise ValueError(

@@ -16,6 +16,18 @@ import numpy as np
 
 from .proportional import max_cross_minor
 
+# Largest state read from a file or built by name: 2^24 amplitudes take
+# 256 MiB, and the detector holds a few such arrays at once.
+MAX_QUBITS = 24
+
+
+def check_qubit_count(num_qubits: int) -> None:
+    """Raise ValueError above MAX_QUBITS; call it before allocating."""
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"{num_qubits} qubits exceeds the limit of MAX_QUBITS = {MAX_QUBITS}"
+        )
+
 
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""

@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from qubitloss import dumps_state, ghz, loads_state, product_state, basis_state
+import qubitloss.catalog
+import qubitloss.cli
+import qubitloss.stateio
+from qubitloss import (
+    MAX_QUBITS,
+    StateVector,
+    basis_state,
+    dumps_state,
+    ghz,
+    loads_state,
+    product_state,
+)
 from qubitloss.cli import main
 
 
@@ -78,6 +89,64 @@ class TestDetectCommand:
     def test_usage_error_exits_three(self, capsys):
         code, _, err = run(capsys, "detect", "--n", "notanint", "--catalog", "GHZ")
         assert code == 3
+
+
+class _NoAllocation:
+    """Stands in for numpy where a test must never reach an allocation."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the qubit limit")
+
+
+class TestInputGuards:
+    def test_nan_tolerance_exits_three(self, capsys, tmp_path):
+        # Fully product |0000>(|0>+|1>): NaN made every leaf read entangled.
+        plus = StateVector(1, [1, 1])
+        s = product_state([((1, 2, 3, 4), basis_state("0000")), ((5,), plus)])
+        path = tmp_path / "plus.state"
+        path.write_text(dumps_state(s))
+        code, out, err = run(capsys, "detect", "--file", str(path), "--tol", "nan")
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_infinite_tolerance_exits_three(self, capsys):
+        # An infinite tolerance called GHZ(3) not genuine.
+        code, _, err = run(capsys, "detect", "--catalog", "GHZ", "--n", "3",
+                           "--tol", "inf")
+        assert code == 3
+        assert "tolerance" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run(capsys, "detect", "--catalog", "GHZ", "--n", "3",
+                           "--tol", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.0
+
+    def test_qubit_limit_on_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(qubitloss.stateio, "np", _NoAllocation())
+        path = tmp_path / "wide.state"
+        path.write_text("qubits: 40\n")
+        code, _, err = run(capsys, "detect", "--file", str(path))
+        assert code == 3
+        assert f"MAX_QUBITS = {MAX_QUBITS}" in err
+
+    def test_qubit_limit_on_catalog(self, capsys, monkeypatch):
+        monkeypatch.setattr(qubitloss.catalog, "np", _NoAllocation())
+        code, _, err = run(capsys, "detect", "--catalog", "GHZ", "--n", "40")
+        assert code == 3
+        assert f"MAX_QUBITS = {MAX_QUBITS}" in err
+
+    def test_unexpected_exception_exits_three_in_one_line(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB\nfor an array")
+
+        monkeypatch.setattr(qubitloss.cli, "detect", out_of_memory)
+        code, out, err = run(capsys, "detect", "--catalog", "GHZ", "--n", "5")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "MemoryError" in err and "Traceback" not in err
 
 
 class TestProjectCommand:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qubitloss import (
     example3_4q,
     ghz,
     oracle_genuine,
+    pair_proportional,
     phi4,
     product_state,
     random_state,
@@ -20,6 +23,7 @@ from qubitloss import (
     w_state,
     wclass_3q,
 )
+from qubitloss.cli import main
 from helpers import random_bipartition_blocks, random_partition_blocks, random_product
 
 
@@ -148,6 +152,13 @@ class TestMeasure:
             assert report.is_mes
             assert report.count_is_exact == (n - 1 <= 4)
 
+    def test_sweeps_carry_the_detect_verdict(self, rng):
+        states = [ghz(6), phi4(), w_state(3), random_state(rng, 7)]
+        states.append(random_product(rng, random_bipartition_blocks(rng, 7)))
+        for s in states:
+            assert entanglement_measure(s).verdict == detect(s)
+            assert detect_with_trace(s).verdict == detect(s)
+
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):
             entanglement_measure(ghz(2))
@@ -183,3 +194,58 @@ class TestIncompleteness:
         assert oracle_genuine(wclass_3q())
         for res in all_projections(wclass_3q()):
             assert not detect_base(res.state).genuinely_entangled
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance_rejected(self, tol):
+        s = ghz(5)
+        cert = detect(s).certificate
+        calls = (
+            lambda: detect(s, tol=tol),
+            lambda: entanglement_measure(s, tol=tol),
+            lambda: detect_with_trace(s, tol=tol),
+            lambda: replay_certificate(s, cert, tol=tol),
+            lambda: detect_base(ghz(3), tol=tol),
+            lambda: pair_proportional([1, 0], [0, 1], tol=tol),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="tolerance"):
+                call()
+
+    def test_zero_tolerance_accepted(self):
+        s = ghz(5)
+        verdict = detect(s, tol=0.0)
+        assert verdict.kind is VerdictKind.GENUINE
+        assert replay_certificate(s, verdict.certificate, tol=0.0)
+
+
+class TestWalkerWork:
+    """Projections computed on GHZ(8): the measure and the trace walk the
+    lattice once with one cache, and their sweep of the root's children
+    does not reach the subtrees below."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        module = sys.modules["qubitloss.detect"]
+        original = module.lose_qubit
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "lose_qubit", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "entry, expected",
+        [(detect, 14), (entanglement_measure, 54), (detect_with_trace, 54)],
+    )
+    def test_projection_count(self, projections, entry, expected):
+        entry(ghz(8))
+        assert len(projections) == expected
+
+    def test_measure_command_walks_once(self, projections, capsys):
+        assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
+        assert len(projections) == 54
