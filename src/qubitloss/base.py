@@ -7,6 +7,11 @@ fixed list of candidate splits: the single split for two qubits, the
 three 1-vs-2 splits for three qubits, and the four 1-vs-3 plus three
 2-vs-2 splits for four qubits.  A state is genuinely entangled iff no
 candidate family is proportional.
+
+All candidate splits of a state are tested in one vectorized pass over a
+padded gather table, with the pivot and threshold rule of
+``family_proportional``, which stays as the reference the tests check
+the pass against.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .proportional import check_tolerance, family_proportional, pair_proportional
+from .proportional import check_tolerance, pair_proportional
 from .states import Bipartition, StateVector
 
 # Candidate splits in reporting order: single-qubit blocks first, then
@@ -76,6 +81,56 @@ def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.nd
     return arrays
 
 
+@lru_cache(maxsize=None)
+def _split_table(num_qubits: int) -> np.ndarray:
+    """Gather table of shape (splits, rows, cols) for the candidate splits.
+
+    Entry [s, r] lists group r of split s as ``coefficient_groups`` gives
+    it.  Shorter groups and missing rows are padded with index 2^n, which
+    points at one zero appended to the amplitudes, so padding adds only
+    zero entries and zero minors.
+    """
+    splits = [coefficient_groups(num_qubits, block) for block in CANDIDATE_SPLITS[num_qubits]]
+    rows = max(len(groups) for groups in splits)
+    cols = max(groups[0].size for groups in splits)
+    table = np.full((len(splits), rows, cols), 1 << num_qubits, dtype=np.intp)
+    for s, groups in enumerate(splits):
+        for r, group in enumerate(groups):
+            table[s, r, : group.size] = group
+    table.flags.writeable = False
+    return table
+
+
+_PAD = np.zeros(1, dtype=complex)
+
+# Witness partitions are immutable, so each split's is built once.
+_partition = lru_cache(maxsize=None)(Bipartition.from_block)
+
+
+def _proportional_mask(amps: np.ndarray, num_qubits: int, tol: float) -> np.ndarray:
+    """Per candidate split of a nonzero state, whether ``family_proportional``
+    holds for its family.
+
+    The pivot of each split is its group with the largest modulus (the
+    first on ties), nonzero because the groups cover every amplitude.
+    Every other group's largest cross minor against the pivot must be at
+    most ``tol * (pivot max * group max)``.
+    """
+    table = _split_table(num_qubits)
+    splits = np.arange(len(table))
+    m = np.concatenate((amps, _PAD))[table]
+    row_max = np.abs(m).max(axis=2)
+    pivot = row_max.argmax(axis=1)
+    outer = m[splits, pivot][:, None, :, None] * m[:, :, None, :]  # p_i v_j
+    minor = np.abs(outer - outer.swapaxes(2, 3)).max(axis=(2, 3))
+    ok = minor <= tol * (row_max[splits, pivot][:, None] * row_max)
+    # The pivot's self-minor p_i p_j - p_j p_i need not round to 0: complex
+    # multiplication is not bitwise commutative where it uses fused
+    # multiply-add.  The reference never compares the pivot with itself.
+    ok[splits, pivot] = True
+    return ok.all(axis=1)
+
+
 def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:
     """Witness for each candidate split that tests proportional, in
     reporting order; none for the zero state."""
@@ -83,16 +138,15 @@ def _proportional_splits(state: StateVector, tol: float) -> Iterator[Factorizati
     if n not in CANDIDATE_SPLITS:
         raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
     check_tolerance(tol)
-    amps = state.amplitudes
-    if not amps.any():
+    if state.is_zero():
         return
-    for block in CANDIDATE_SPLITS[n]:
-        vectors = [amps[g] for g in coefficient_groups(n, block)]
-        if family_proportional(vectors, tol):
-            yield FactorizationWitness(
-                partition=Bipartition.from_block(n, block),
-                family=tuple(tuple(map(complex, v)) for v in vectors),
-            )
+    amps = state.amplitudes
+    for s in np.flatnonzero(_proportional_mask(amps, n, tol)):
+        block = CANDIDATE_SPLITS[n][s]
+        yield FactorizationWitness(
+            partition=_partition(n, block),
+            family=tuple(tuple(map(complex, amps[g])) for g in coefficient_groups(n, block)),
+        )
 
 
 def _detect_n(state: StateVector, tol: float, expected_n: int) -> BaseVerdict:
@@ -121,7 +175,7 @@ def detect_base(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
     is proportional.  The zero state is not genuine and has no witness."""
     witness = next(_proportional_splits(state, tol), None)
     return BaseVerdict(
-        genuinely_entangled=witness is None and bool(state.amplitudes.any()),
+        genuinely_entangled=witness is None and not state.is_zero(),
         witness=witness,
     )
 

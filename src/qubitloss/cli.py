@@ -63,10 +63,13 @@ _EXIT_BY_KIND = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; 2 means 'inconclusive' here."""
+    """argparse exits 2 on usage errors; 2 means 'inconclusive' here.
+
+    A usage error is one stderr line, without argparse's usage block
+    (``--help`` still prints the usage).
+    """
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
@@ -481,7 +484,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 3
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # An overflowing projection raises ValueError below; numpy's own
+        # overflow warning would add lines to the one-line error.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"qubitloss: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .proportional import check_tolerance
 from .states import Bipartition, StateVector, all_bipartitions
 
 MAX_SCAN_QUBITS = 12
@@ -44,6 +45,7 @@ def unfold(state: StateVector, partition) -> np.ndarray:
 
 def numerical_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
     """Number of singular values above tol times the largest one."""
+    check_tolerance(tol)
     sigma = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
@@ -52,6 +54,7 @@ def numerical_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
 
 def find_product_cut(state: StateVector, tol: float = 1e-9) -> Optional[Bipartition]:
     """First bipartition (if any) across which the state is a product."""
+    check_tolerance(tol)
     n = state.num_qubits
     if n < 2:
         raise ValueError("need at least two qubits")
@@ -93,6 +96,7 @@ def ppt_2qubit(rho: np.ndarray, tol: float = 1e-9) -> bool:
     eigenvalue against -tol.  The input is normalized to unit trace;
     non-Hermitian input (beyond 1e-10 relative) is rejected.
     """
+    check_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")

@@ -14,6 +14,7 @@ a projection may legitimately vanish, which callers treat as "product".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List
 
@@ -44,12 +45,15 @@ def lose_qubit(
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     ell = 1 << (n - k)
     out = state.amplitudes.reshape(1 << (k - 1), 2, ell).sum(axis=1).reshape(-1)
-    in_max = float(np.abs(state.amplitudes).max())
     out_max = float(np.abs(out).max())
+    # The sums can overflow.  A modulus can overflow while both parts stay
+    # finite, and such a state is valid, so only then are the parts checked.
+    if not math.isfinite(out_max) and not np.isfinite(out.view(np.float64)).all():
+        raise ValueError("amplitudes must be finite")
     return ProjectionResult(
-        state=StateVector(n - 1, out),
+        state=StateVector._adopt(n - 1, out, out_max),
         lost_qubit=k,
-        is_zero=out_max <= zero_rtol * in_max,
+        is_zero=out_max <= zero_rtol * state._largest(),
     )
 
 

@@ -32,7 +32,7 @@ def check_qubit_count(num_qubits: int) -> None:
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "_max_abs")
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         if num_qubits < 1:
@@ -48,9 +48,28 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_max_abs", None)
+
+    @classmethod
+    def _adopt(cls, num_qubits: int, amps: np.ndarray, max_abs: float) -> "StateVector":
+        """Wrap a fresh complex array of 2^n finite amplitudes and its
+        largest modulus, with no copy and no checks; the array becomes
+        read-only and must not be shared."""
+        self = object.__new__(cls)
+        amps.flags.writeable = False
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_max_abs", max_abs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
+
+    def _largest(self) -> float:
+        """Largest amplitude modulus, computed at most once per state."""
+        if self._max_abs is None:
+            object.__setattr__(self, "_max_abs", float(np.abs(self.amplitudes).max()))
+        return self._max_abs
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
@@ -75,7 +94,7 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes / n)
 
     def is_zero(self) -> bool:
-        return bool(np.abs(self.amplitudes).max() == 0.0)
+        return self._largest() == 0.0
 
     def __repr__(self) -> str:
         n = self.num_qubits

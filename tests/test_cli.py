@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestDetectCommand:
     def test_usage_error_exits_three(self, capsys):
         code, _, err = run(capsys, "detect", "--n", "notanint", "--catalog", "GHZ")
         assert code == 3
+        assert err.count("\n") == 1
+
+    def test_overflowing_projection_exits_three_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.state"
+        path.write_text(dumps_state(StateVector(6, np.full(64, 1e308))))
+        with warnings.catch_warnings():  # a warning would be more stderr lines
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "detect", "--file", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "finite" in err
 
 
 class _NoAllocation:
@@ -109,6 +122,7 @@ class TestInputGuards:
         assert code == 3
         assert out == ""
         assert "tolerance" in err
+        assert err.count("\n") == 1
 
     def test_infinite_tolerance_exits_three(self, capsys):
         # An infinite tolerance called GHZ(3) not genuine.
@@ -116,6 +130,7 @@ class TestInputGuards:
                            "--tol", "inf")
         assert code == 3
         assert "tolerance" in err
+        assert err.count("\n") == 1
 
     def test_zero_tolerance_accepted(self, capsys):
         code, out, _ = run(capsys, "detect", "--catalog", "GHZ", "--n", "3",

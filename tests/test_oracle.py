@@ -167,3 +167,24 @@ class TestPpt:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             ppt_2qubit(np.eye(8) / 8)
+
+
+class TestOracleTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN made oracle_genuine(ghz(3)) read False.
+        rho = partial_trace(ghz(3), (1, 2))
+        with pytest.raises(ValueError, match="tolerance"):
+            numerical_rank(np.eye(2), tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            find_product_cut(ghz(3), tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            oracle_genuine(ghz(3), tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            ppt_2qubit(rho, tol)
+
+    def test_zero_tolerance_accepted(self):
+        assert numerical_rank(np.diag([1.0, 1e-300]), 0.0) == 2
+        assert oracle_genuine(ghz(3), 0.0)
+        assert find_product_cut(basis_state("000"), 0.0) is not None
+        assert ppt_2qubit(np.eye(4) / 4, 0.0)

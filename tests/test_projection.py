@@ -7,6 +7,7 @@ from qubitloss import (
     StateVector,
     all_projections,
     basis_state,
+    detect,
     detect_2q,
     equal_up_to_scale,
     ghz,
@@ -52,6 +53,14 @@ class TestLoseQubit:
             lose_qubit(ghz(3), 0)
         with pytest.raises(ValueError):
             lose_qubit(ghz(3), 4)
+
+    def test_overflowing_projection_is_rejected(self):
+        huge = StateVector(6, np.full(64, 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                lose_qubit(huge, 1)
+            with pytest.raises(ValueError, match="finite"):
+                detect(huge)
 
     def test_zero_detection_is_scale_relative(self):
         minus = StateVector(1, [1, -1])
