@@ -16,14 +16,17 @@ the pass against.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .proportional import check_tolerance, pair_proportional
-from .states import Bipartition, StateVector
+from .projection import all_projections
+from .proportional import check_tolerance
+from .states import Bipartition, StateVector, _matricize
 
 # Candidate splits in reporting order: single-qubit blocks first, then
 # two-qubit blocks containing qubit 1.
@@ -50,7 +53,7 @@ class BaseVerdict:
 
 @dataclass(frozen=True)
 class SufficientCheck:
-    """Outcome of the three-qubit shortcut on coefficient sums."""
+    """Outcome of the three-qubit shortcut on its projections."""
 
     per_projection_entangled: Tuple[bool, bool, bool]
     certified: bool
@@ -58,7 +61,8 @@ class SufficientCheck:
 
 @lru_cache(maxsize=None)
 def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-    """Amplitude index groups for a candidate split.
+    """Amplitude index groups for a candidate split: the rows of the
+    basis indices laid out as ``unfold`` lays out amplitudes.
 
     One group per bit pattern of ``block_a`` (patterns ascending), each
     listing basis indices in ascending order of the complementary
@@ -66,19 +70,10 @@ def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.nd
     is proportional iff the state is a product across the split.
     """
     n = num_qubits
-    block_a = tuple(sorted(block_a))
-    if not block_a or not all(1 <= q <= n for q in block_a) or len(block_a) >= n:
-        raise ValueError(f"bad block {block_a} for {n} qubits")
-    groups: List[List[int]] = [[] for _ in range(1 << len(block_a))]
-    for idx in range(1 << n):
-        pattern = 0
-        for q in block_a:
-            pattern = (pattern << 1) | (idx >> (n - q)) & 1
-        groups[pattern].append(idx)
-    arrays = tuple(np.array(g, dtype=np.intp) for g in groups)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    block_a = Bipartition.from_block(n, block_a).block_a
+    rows = _matricize(np.arange(1 << n, dtype=np.intp), n, block_a)
+    rows.flags.writeable = False
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +90,7 @@ def _split_table(num_qubits: int) -> np.ndarray:
     cols = max(groups[0].size for groups in splits)
     table = np.full((len(splits), rows, cols), 1 << num_qubits, dtype=np.intp)
     for s, groups in enumerate(splits):
-        for r, group in enumerate(groups):
-            table[s, r, : group.size] = group
+        table[s, : len(groups), : groups[0].size] = groups
     table.flags.writeable = False
     return table
 
@@ -107,7 +101,7 @@ _PAD = np.zeros(1, dtype=complex)
 _partition = lru_cache(maxsize=None)(Bipartition.from_block)
 
 
-def _proportional_mask(amps: np.ndarray, num_qubits: int, tol: float) -> np.ndarray:
+def _proportional_mask(state: StateVector, tol: float) -> np.ndarray:
     """Per candidate split of a nonzero state, whether ``family_proportional``
     holds for its family.
 
@@ -116,9 +110,16 @@ def _proportional_mask(amps: np.ndarray, num_qubits: int, tol: float) -> np.ndar
     Every other group's largest cross minor against the pivot must be at
     most ``tol * (pivot max * group max)``.
     """
-    table = _split_table(num_qubits)
+    table = _split_table(state.num_qubits)
     splits = np.arange(len(table))
-    m = np.concatenate((amps, _PAD))[table]
+    # Scaling by 2^-e, with e the exponent of the largest modulus, is exact
+    # and puts that modulus in [0.5, 1), so the products below neither
+    # overflow for huge states nor underflow for tiny ones.  The clamps keep
+    # e finite when the modulus overflows and 2^-e finite when it is subnormal.
+    exponent = math.frexp(min(state._largest(), sys.float_info.max))[1]
+    m = np.concatenate((state.amplitudes, _PAD))
+    m *= math.ldexp(1.0, -max(exponent, -1023))
+    m = m[table]
     row_max = np.abs(m).max(axis=2)
     pivot = row_max.argmax(axis=1)
     outer = m[splits, pivot][:, None, :, None] * m[:, :, None, :]  # p_i v_j
@@ -140,12 +141,11 @@ def _proportional_splits(state: StateVector, tol: float) -> Iterator[Factorizati
     check_tolerance(tol)
     if state.is_zero():
         return
-    amps = state.amplitudes
-    for s in np.flatnonzero(_proportional_mask(amps, n, tol)):
+    for s in np.flatnonzero(_proportional_mask(state, tol)):
         block = CANDIDATE_SPLITS[n][s]
+        rows = _matricize(state.amplitudes, n, block).tolist()
         yield FactorizationWitness(
-            partition=_partition(n, block),
-            family=tuple(tuple(map(complex, amps[g])) for g in coefficient_groups(n, block)),
+            partition=_partition(n, block), family=tuple(map(tuple, rows))
         )
 
 
@@ -187,24 +187,18 @@ def all_factorizations(state: StateVector, tol: float = 1e-9) -> List[Factorizat
 
 
 def sufficient_3q(state: StateVector, tol: float = 1e-9) -> SufficientCheck:
-    """Certify a three-qubit state genuine from coefficient sums alone.
+    """Certify a three-qubit state genuine from its projections alone.
 
-    For each lost qubit the projected two-qubit state is written directly
-    as sums of amplitude pairs and tested for entanglement; two entangled
-    projections certify genuine entanglement.  Sufficient, not necessary:
-    ``wclass_3q()`` is genuinely entangled yet certifies nothing here.
+    Each of the three two-qubit projections gets the exact two-qubit
+    test; two entangled projections certify genuine entanglement.
+    Sufficient, not necessary: ``wclass_3q()`` is genuinely entangled yet
+    certifies nothing here.
     """
     n = state.num_qubits
     if n != 3:
         raise ValueError(f"expected a 3-qubit state, got {n} qubits")
-    c = state.amplitudes
-    projected = (
-        (c[0] + c[4], c[1] + c[5], c[2] + c[6], c[3] + c[7]),  # losing qubit 1
-        (c[0] + c[2], c[1] + c[3], c[4] + c[6], c[5] + c[7]),  # losing qubit 2
-        (c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7]),  # losing qubit 3
-    )
     flags = tuple(
-        not pair_proportional(d[:2], d[2:], tol) for d in projected
+        detect_2q(p.state, tol).genuinely_entangled for p in all_projections(state)
     )
     return SufficientCheck(
         per_projection_entangled=flags, certified=sum(flags) >= 2

@@ -18,29 +18,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .proportional import check_tolerance
-from .states import Bipartition, StateVector, all_bipartitions
+from .states import Bipartition, StateVector, all_bipartitions, unfold
 
 MAX_SCAN_QUBITS = 12
-
-
-def unfold(state: StateVector, partition) -> np.ndarray:
-    """Matricize a state across a bipartition.
-
-    Entry (r, c) is the amplitude of the basis state whose block-A bits
-    spell r and block-B bits spell c, each block read in ascending qubit
-    order.  ``partition`` is a Bipartition or an iterable giving block A.
-    Rank 1 here is exactly "product across this cut".
-    """
-    n = state.num_qubits
-    if isinstance(partition, Bipartition):
-        part = partition
-    else:
-        part = Bipartition.from_block(n, partition)
-    if part.qubits != tuple(range(1, n + 1)):
-        raise ValueError(f"partition {part} does not cover qubits 1..{n}")
-    axes = [q - 1 for q in part.block_a] + [q - 1 for q in part.block_b]
-    cube = state.amplitudes.reshape((2,) * n)
-    return cube.transpose(axes).reshape(1 << len(part.block_a), -1)
 
 
 def numerical_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:

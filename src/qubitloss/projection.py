@@ -49,7 +49,9 @@ def lose_qubit(
     # The sums can overflow.  A modulus can overflow while both parts stay
     # finite, and such a state is valid, so only then are the parts checked.
     if not math.isfinite(out_max) and not np.isfinite(out.view(np.float64)).all():
-        raise ValueError("amplitudes must be finite")
+        raise ValueError(
+            f"losing qubit {k} gives amplitudes that are not finite (the sums overflow)"
+        )
     return ProjectionResult(
         state=StateVector._adopt(n - 1, out, out_max),
         lost_qubit=k,

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import max_cross_minor
+from .proportional import pair_proportional
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -169,22 +169,17 @@ def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> State
 def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
     """True when a = lambda * b for some nonzero complex lambda.
 
-    Decided by the cross minors a_i b_j - a_j b_i, measured against
-    max|a| * max|b| so the answer is invariant under rescaling either
-    state.  Two zero states are equal; a zero and a nonzero state are not
-    (lambda would have to vanish).
+    Decided by ``pair_proportional``, so the answer is invariant under
+    rescaling either state.  Two zero states are equal; a zero and a
+    nonzero state are not (lambda would have to vanish).
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
         )
-    ma = float(np.abs(a.amplitudes).max())
-    mb = float(np.abs(b.amplitudes).max())
-    if ma == 0.0 and mb == 0.0:
-        return True
-    if ma == 0.0 or mb == 0.0:
-        return False
-    return max_cross_minor(a.amplitudes, b.amplitudes) <= tol * ma * mb
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    return pair_proportional(a.amplitudes, b.amplitudes, tol)
 
 
 @dataclass(frozen=True)
@@ -222,6 +217,33 @@ class Bipartition:
         fa = ",".join(map(str, self.block_a))
         fb = ",".join(map(str, self.block_b))
         return f"{{{fa}}}|{{{fb}}}"
+
+
+def _matricize(array: np.ndarray, num_qubits: int, block_a: Tuple[int, ...]) -> np.ndarray:
+    """``unfold`` for any array of 2^n entries, one per basis state;
+    ``block_a`` must be sorted, nonempty and proper, and is not checked."""
+    rest = [q for q in range(1, num_qubits + 1) if q not in block_a]
+    axes = [q - 1 for q in block_a] + [q - 1 for q in rest]
+    cube = array.reshape((2,) * num_qubits)
+    return cube.transpose(axes).reshape(1 << len(block_a), -1)
+
+
+def unfold(state: StateVector, partition) -> np.ndarray:
+    """Matricize a state across a bipartition.
+
+    Entry (r, c) is the amplitude of the basis state whose block-A bits
+    spell r and block-B bits spell c, each block read in ascending qubit
+    order.  ``partition`` is a Bipartition or an iterable giving block A.
+    Rank 1 here is exactly "product across this cut".
+    """
+    n = state.num_qubits
+    if isinstance(partition, Bipartition):
+        part = partition
+    else:
+        part = Bipartition.from_block(n, partition)
+    if part.qubits != tuple(range(1, n + 1)):
+        raise ValueError(f"partition {part} does not cover qubits 1..{n}")
+    return _matricize(state.amplitudes, n, part.block_a)
 
 
 def all_bipartitions(num_qubits: int) -> Iterator[Bipartition]:

@@ -5,7 +5,8 @@ one vectorized pass.  The reference below tests the splits one at a time
 with ``coefficient_groups`` and ``family_proportional``, as the leaf did
 before it was vectorized; the two must agree exactly (verdict, witness
 partitions in reporting order, and families), at the default tolerance
-and at tolerance 0.
+and at tolerance 0.  The leaf's verdict must not depend on the scale of
+the amplitudes, however large or tiny.
 """
 
 import numpy as np
@@ -18,13 +19,17 @@ from qubitloss import (
     Bipartition,
     FactorizationWitness,
     StateVector,
+    VerdictKind,
     all_factorizations,
     basis_state,
     coefficient_groups,
+    detect,
     detect_base,
     family_proportional,
     product_state,
+    random_product_state,
     random_state,
+    sufficient_3q,
 )
 from qubitloss.base import CANDIDATE_SPLITS
 
@@ -141,7 +146,47 @@ def leaf_states(draw):
     )
 
 
+def verdict_and_split(verdict):
+    witness = verdict.witness
+    return verdict.genuinely_entangled, witness and witness.partition
+
+
 @settings(max_examples=300, deadline=None)
-@given(state=leaf_states(), tol=st.sampled_from(TOLERANCES))
-def test_small_integer_states_match_reference(state, tol):
+@given(
+    state=leaf_states(),
+    tol=st.sampled_from(TOLERANCES),
+    exponent=st.integers(-300, 300),
+)
+def test_small_integer_states_match_reference(state, tol, exponent):
     assert_leaf_matches_reference(state, tol)
+    # Rescaling rounds every amplitude, and at tol 0 rounding alone decides.
+    if tol:
+        scaled = StateVector(state.num_qubits, state.amplitudes * 10.0**exponent)
+        assert verdict_and_split(detect_base(scaled, tol)) == verdict_and_split(
+            detect_base(state, tol)
+        )
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 5e-324])
+def test_huge_and_tiny_two_qubit_states(scale):
+    # Unscaled, the cross minors of such states overflow or underflow.
+    assert detect_base(StateVector(2, np.array([1, 0, 0, 1]) * scale)).genuinely_entangled
+    assert not detect_base(StateVector(2, np.array([1, 2, 3, 6]) * scale)).genuinely_entangled
+
+
+def test_product_whose_moduli_overflow():
+    # Both parts are finite, the modulus of each amplitude is not.
+    state = StateVector(2, np.full(4, 1.5e308 + 1.5e308j))
+    assert not detect_base(state).genuinely_entangled
+
+
+@pytest.mark.parametrize("blocks", [[(1, 2), (3, 4)], [(1, 2, 3), (4, 5, 6)]])
+def test_huge_products_are_not_certified(blocks):
+    product = random_product_state(np.random.default_rng(0), blocks)
+    state = StateVector(product.num_qubits, product.amplitudes * 1e160)
+    assert detect(state).kind is not VerdictKind.GENUINE
+
+
+def test_shortcut_does_not_certify_a_huge_product():
+    product = random_product_state(np.random.default_rng(0), [(1,), (2, 3)])
+    assert not sufficient_3q(StateVector(3, product.amplitudes * 1e160)).certified

@@ -27,8 +27,8 @@ class TestUnfold:
         np.testing.assert_array_equal(m, np.eye(2))
 
     def test_rows_are_the_grouped_coefficient_vectors(self, rng):
-        # unfold and the bit-mask index grouping are independent
-        # implementations of the same layout; their rows must agree.
+        # coefficient_groups is unfold of the index array; its rows must
+        # pick out unfold's rows of the amplitudes.
         for n, blocks in ((3, [(1,), (2,), (3,)]), (4, [(1,), (2,), (1, 3), (1, 4)])):
             s = random_state(rng, n)
             for block in blocks:
