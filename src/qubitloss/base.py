@@ -16,8 +16,6 @@ the pass against.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Tuple
@@ -25,7 +23,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from .projection import all_projections
-from .proportional import check_tolerance
+from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
 from .states import Bipartition, StateVector, _matricize
 
 # Candidate splits in reporting order: single-qubit blocks first, then
@@ -112,13 +110,9 @@ def _proportional_mask(state: StateVector, tol: float) -> np.ndarray:
     """
     table = _split_table(state.num_qubits)
     splits = np.arange(len(table))
-    # Scaling by 2^-e, with e the exponent of the largest modulus, is exact
-    # and puts that modulus in [0.5, 1), so the products below neither
-    # overflow for huge states nor underflow for tiny ones.  The clamps keep
-    # e finite when the modulus overflows and 2^-e finite when it is subnormal.
-    exponent = math.frexp(min(state._largest(), sys.float_info.max))[1]
+    # Scaled exactly, so that the products below neither overflow nor underflow.
     m = np.concatenate((state.amplitudes, _PAD))
-    m *= math.ldexp(1.0, -max(exponent, -1023))
+    m *= unit_scale(state._largest())
     m = m[table]
     row_max = np.abs(m).max(axis=2)
     pivot = row_max.argmax(axis=1)
@@ -155,22 +149,22 @@ def _detect_n(state: StateVector, tol: float, expected_n: int) -> BaseVerdict:
     return detect_base(state, tol)
 
 
-def detect_2q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
+def detect_2q(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
     """Two qubits: entangled iff (c0, c1) and (c2, c3) are not proportional."""
     return _detect_n(state, tol, 2)
 
 
-def detect_3q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
+def detect_3q(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
     """Three qubits: product iff one of the three 1-vs-2 splits is proportional."""
     return _detect_n(state, tol, 3)
 
 
-def detect_4q(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
+def detect_4q(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
     """Four qubits: product iff one of the seven candidate splits is proportional."""
     return _detect_n(state, tol, 4)
 
 
-def detect_base(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
+def detect_base(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
     """Exact decision for 2, 3 or 4 qubits: genuine iff no candidate split
     is proportional.  The zero state is not genuine and has no witness."""
     witness = next(_proportional_splits(state, tol), None)
@@ -180,13 +174,15 @@ def detect_base(state: StateVector, tol: float = 1e-9) -> BaseVerdict:
     )
 
 
-def all_factorizations(state: StateVector, tol: float = 1e-9) -> List[FactorizationWitness]:
+def all_factorizations(
+    state: StateVector, tol: float = DEFAULT_TOL
+) -> List[FactorizationWitness]:
     """Every candidate split that tests proportional (fully product states
     report several)."""
     return list(_proportional_splits(state, tol))
 
 
-def sufficient_3q(state: StateVector, tol: float = 1e-9) -> SufficientCheck:
+def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SufficientCheck:
     """Certify a three-qubit state genuine from its projections alone.
 
     Each of the three two-qubit projections gets the exact two-qubit

@@ -38,7 +38,7 @@ from .detect import (
 )
 from .oracle import find_product_cut, oracle_genuine, partial_trace, ppt_2qubit
 from .projection import all_projections, lose_qubit, lose_qubit_set
-from .proportional import check_tolerance
+from .proportional import DEFAULT_TOL, check_tolerance
 from .states import (
     StateVector,
     basis_state,
@@ -80,18 +80,23 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol", type=_tolerance, default=1e-9, metavar="REL",
-        help="relative tolerance for all proportionality/rank tests (default 1e-9)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a machine-readable JSON report"
-    )
-    parser.add_argument(
-        "--timing", action="store_true",
+_FLAGS = {
+    "--tol": dict(
+        type=_tolerance, default=DEFAULT_TOL, metavar="REL",
+        help="relative tolerance for all proportionality/rank tests (default %(default)g)",
+    ),
+    "--json": dict(action="store_true", help="emit a machine-readable JSON report"),
+    "--timing": dict(
+        action="store_true",
         help="include wall time in the JSON report (breaks byte-for-byte determinism)",
-    )
+    ),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named report flags; each command takes only those it reads."""
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _input_flags(parser: argparse.ArgumentParser) -> None:
@@ -109,6 +114,8 @@ def _load_input(args) -> tuple[StateVector, str]:
     if (args.file is None) == (args.catalog is None):
         raise ValueError("provide exactly one of --file or --catalog")
     if args.file is not None:
+        if args.n is not None:
+            raise ValueError("--n applies to --catalog states, not to --file")
         return load_state(args.file), f"file:{args.file}"
     state = named_state(args.catalog, args.n)
     return state, f"catalog:{args.catalog.strip().upper()}(n={state.num_qubits})"
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="classify a state, emitting a certificate")
     _input_flags(p)
-    _common_flags(p)
+    _flags(p, "--tol", "--json", "--timing")
     p.add_argument(
         "--exhaustive", action="store_true",
         help="explore every projection and report the per-projection row",
@@ -444,32 +451,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="apply the qubit-loss projection")
     _input_flags(p)
-    _common_flags(p)
+    _flags(p, "--json")
     p.add_argument("--lose", metavar="K[,K2,...]", help="qubit(s) to lose, 1-based")
     p.add_argument("--all", action="store_true", help="print all n single-qubit projections")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("measure", help="count certified-genuine projections")
     _input_flags(p)
-    _common_flags(p)
+    _flags(p, "--tol", "--json", "--timing")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser(
         "tables", help="recompute the built-in survey/comparison tables and verify them"
     )
-    _common_flags(p)
+    _flags(p, "--tol", "--json")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("oracle", help="brute-force bipartition-rank ground truth")
     _input_flags(p)
-    _common_flags(p)
+    _flags(p, "--tol", "--json", "--timing")
     p.add_argument(
         "--compare", action="store_true", help="also run the detector and diff verdicts"
     )
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="randomized soundness/agreement sweep")
-    _common_flags(p)
+    _flags(p, "--tol", "--json")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--trials", type=int, default=200, help="number of trials (default 200)")
     p.set_defaults(func=cmd_selftest)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .base import FactorizationWitness, detect_base
 from .projection import lose_qubit
-from .proportional import check_tolerance
+from .proportional import DEFAULT_TOL, check_tolerance
 from .states import Bipartition, StateVector
 
 
@@ -122,39 +122,36 @@ def _walk(
     state: StateVector,
     labels: Tuple[int, ...],
     tol: float,
-    exhaustive: bool,
-    cache: Optional[Dict[Tuple[int, ...], Verdict]],
+    cache: Dict[Tuple[int, ...], Verdict],
     row: Optional[List[Verdict]] = None,
 ) -> Verdict:
-    """Verdict on ``state``, whose qubits carry ``labels``.
+    """Verdict on ``state``, whose qubits carry ``labels``, memoized in
+    ``cache`` by the surviving labels.
 
     Above the exact regime the children (one qubit lost each) are visited
-    in label order until two certify, or all of them when ``exhaustive``;
-    the certificate cites the first two certified.  Passing ``row`` (at
-    the root only) visits every child of the root whatever its size and
-    appends each child's verdict to ``row`` (``_VANISHED`` where the
-    projection vanished), while the subtrees below still stop early.
+    in label order until two certify; the certificate cites those two.
+    Passing ``row`` (at the root only) visits every child of the root
+    whatever its size and appends each child's verdict to ``row``
+    (``_VANISHED`` where the projection vanished), while the subtrees
+    below still stop early.
     """
-    verdict = cache.get(labels) if cache is not None else None
+    verdict = cache.get(labels)
     if verdict is not None:
         return verdict
     n = len(labels)
     certified: List[Tuple[int, Certificate]] = []
     if n > _EXACT_MAX or row is not None:
-        visit_all = exhaustive or row is not None
         for pos in range(1, n + 1):
-            if len(certified) >= 2 and not visit_all:
+            if len(certified) >= 2 and row is None:
                 break
             child_labels = labels[: pos - 1] + labels[pos:]
-            child = cache.get(child_labels) if cache is not None else None
+            child = cache.get(child_labels)
             if child is None:
                 proj = lose_qubit(state, pos)
                 if proj.is_zero:
-                    child = _VANISHED
-                    if cache is not None:
-                        cache[child_labels] = child
+                    child = cache[child_labels] = _VANISHED
                 else:
-                    child = _walk(proj.state, child_labels, tol, exhaustive, cache)
+                    child = _walk(proj.state, child_labels, tol, cache)
             if row is not None:
                 row.append(child)
             if child.kind is VerdictKind.GENUINE:
@@ -169,8 +166,7 @@ def _walk(
         )
     else:
         verdict = Verdict(kind=VerdictKind.INCONCLUSIVE)
-    if cache is not None:
-        cache[labels] = verdict
+    cache[labels] = verdict
     return verdict
 
 
@@ -182,30 +178,19 @@ def _check_input(state: StateVector, min_qubits: int, what: str, tol: float) -> 
     check_tolerance(tol)
 
 
-def detect(
-    state: StateVector,
-    tol: float = 1e-9,
-    exhaustive: bool = False,
-    memoize: bool = True,
-) -> Verdict:
+def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide genuine entanglement of a pure nonzero state.
 
     Exact for 2..4 qubits (verdict genuine or not-genuine with a
     factorization witness).  For five or more, genuine verdicts carry a
     certificate and the only other outcome is inconclusive.
-
-    ``exhaustive`` keeps exploring projections after two certify (the
-    verdict never changes, only the work done); ``memoize=False``
-    disables the subset cache, for verification.
     """
     _check_input(state, 2, "detection", tol)
-    cache: Optional[Dict[Tuple[int, ...], Verdict]] = {} if memoize else None
-    labels = tuple(range(1, state.num_qubits + 1))
-    return _walk(state, labels, tol, exhaustive, cache)
+    return _walk(state, tuple(range(1, state.num_qubits + 1)), tol, {})
 
 
 def entanglement_measure(
-    state: StateVector, tol: float = 1e-9
+    state: StateVector, tol: float = DEFAULT_TOL
 ) -> MeasureReport:
     """Count how many single-qubit-loss projections are certified genuine.
 
@@ -216,7 +201,7 @@ def entanglement_measure(
     _check_input(state, 3, "the measure", tol)
     per_qubit: List[Verdict] = []
     labels = tuple(range(1, state.num_qubits + 1))
-    verdict = _walk(state, labels, tol, False, {}, per_qubit)
+    verdict = _walk(state, labels, tol, {}, per_qubit)
     count = sum(v.kind is VerdictKind.GENUINE for v in per_qubit)
     return MeasureReport(
         per_qubit=tuple(per_qubit),
@@ -227,7 +212,7 @@ def entanglement_measure(
     )
 
 
-def detect_with_trace(state: StateVector, tol: float = 1e-9) -> TraceReport:
+def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> TraceReport:
     """Verdict plus a per-lost-qubit classification row.
 
     Row entries are "entangled", "product", "zero" or (for projections
@@ -236,13 +221,13 @@ def detect_with_trace(state: StateVector, tol: float = 1e-9) -> TraceReport:
     _check_input(state, 2, "detection", tol)
     children: List[Verdict] = []
     labels = tuple(range(1, state.num_qubits + 1))
-    verdict = _walk(state, labels, tol, False, {}, children)
+    verdict = _walk(state, labels, tol, {}, children)
     row = tuple("zero" if v is _VANISHED else _ROW_ENTRY[v.kind] for v in children)
     return TraceReport(verdict=verdict, table=row)
 
 
 def replay_certificate(
-    state: StateVector, certificate: Certificate, tol: float = 1e-9
+    state: StateVector, certificate: Certificate, tol: float = DEFAULT_TOL
 ) -> bool:
     """Re-derive a certificate from scratch against the given state.
 

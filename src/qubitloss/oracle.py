@@ -17,13 +17,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .proportional import check_tolerance
+from .proportional import DEFAULT_TOL, check_tolerance
 from .states import Bipartition, StateVector, all_bipartitions, unfold
 
 MAX_SCAN_QUBITS = 12
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
+def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
     sigma = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
@@ -32,7 +32,7 @@ def numerical_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
-def find_product_cut(state: StateVector, tol: float = 1e-9) -> Optional[Bipartition]:
+def find_product_cut(state: StateVector, tol: float = DEFAULT_TOL) -> Optional[Bipartition]:
     """First bipartition (if any) across which the state is a product."""
     check_tolerance(tol)
     n = state.num_qubits
@@ -50,7 +50,7 @@ def find_product_cut(state: StateVector, tol: float = 1e-9) -> Optional[Bipartit
     return None
 
 
-def oracle_genuine(state: StateVector, tol: float = 1e-9) -> bool:
+def oracle_genuine(state: StateVector, tol: float = DEFAULT_TOL) -> bool:
     """True iff every bipartition unfolding has rank >= 2."""
     return find_product_cut(state, tol) is None
 
@@ -69,7 +69,7 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
     return m @ m.conj().T
 
 
-def ppt_2qubit(rho: np.ndarray, tol: float = 1e-9) -> bool:
+def ppt_2qubit(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Exact separability of a two-qubit density matrix (True = separable).
 
     Transposes the second qubit's indices and checks the smallest

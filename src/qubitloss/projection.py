@@ -22,8 +22,8 @@ import numpy as np
 
 from .states import StateVector
 
-# A projection counts as vanished when its largest amplitude is below this
-# fraction of the input's largest amplitude.
+# A projection counts as vanished when its largest amplitude is at most this
+# fraction of the input's largest amplitude.  The rule is fixed.
 DEFAULT_ZERO_RTOL = 1e-12
 
 
@@ -34,9 +34,7 @@ class ProjectionResult:
     is_zero: bool
 
 
-def lose_qubit(
-    state: StateVector, k: int, zero_rtol: float = DEFAULT_ZERO_RTOL
-) -> ProjectionResult:
+def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
     """Project out qubit k (1-based), returning the (n-1)-qubit state."""
     n = state.num_qubits
     if n < 2:
@@ -55,17 +53,15 @@ def lose_qubit(
     return ProjectionResult(
         state=StateVector._adopt(n - 1, out, out_max),
         lost_qubit=k,
-        is_zero=out_max <= zero_rtol * state._largest(),
+        is_zero=out_max <= DEFAULT_ZERO_RTOL * state._largest(),
     )
 
 
-def all_projections(
-    state: StateVector, zero_rtol: float = DEFAULT_ZERO_RTOL
-) -> List[ProjectionResult]:
+def all_projections(state: StateVector) -> List[ProjectionResult]:
     """The n single-qubit-loss projections, in qubit order."""
     if state.num_qubits < 2:
         raise ValueError("cannot lose a qubit from a single-qubit state")
-    return [lose_qubit(state, k, zero_rtol) for k in range(1, state.num_qubits + 1)]
+    return [lose_qubit(state, k) for k in range(1, state.num_qubits + 1)]
 
 
 def lose_qubit_set(state: StateVector, qubits: Iterable[int]) -> StateVector:

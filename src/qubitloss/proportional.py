@@ -8,6 +8,7 @@ so zero entries need no special casing and the test is symmetric.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,18 @@ def check_tolerance(tol: float) -> float:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
+
+
+def unit_scale(largest: float) -> float:
+    """The power of two 2^-e, with e the exponent of ``largest``.
+
+    Scaling by it is exact and puts a modulus of ``largest`` in [0.5, 1),
+    so products of scaled entries neither overflow for huge vectors nor
+    underflow for tiny ones.  The clamps keep e finite when ``largest``
+    overflows and 2^-e finite when it is subnormal; zero gives 1.
+    """
+    exponent = math.frexp(min(largest, sys.float_info.max))[1]
+    return math.ldexp(1.0, -max(exponent, -1023))
 
 
 def max_cross_minor(u, v) -> float:
@@ -47,12 +60,14 @@ def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
     """True when u and v are proportional within a relative tolerance.
 
     The threshold scales with max|u| * max|v|, so the answer is invariant
-    under rescaling either vector.  A numerically zero vector counts as
-    proportional to anything (scaling factor zero).
+    under rescaling either vector; each is first scaled by ``unit_scale``
+    of its largest modulus, so the minors neither overflow nor underflow
+    at extreme scales.  A numerically zero vector counts as proportional
+    to anything (scaling factor zero).
     """
     check_tolerance(tol)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+    u, v = (x * unit_scale(float(np.abs(x).max(initial=0.0))) for x in (u, v))
     scale = float(np.abs(u).max(initial=0.0)) * float(np.abs(v).max(initial=0.0))
     return max_cross_minor(u, v) <= tol * scale
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import pair_proportional
+from .proportional import DEFAULT_TOL, pair_proportional
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -166,7 +166,7 @@ def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> State
     return StateVector(n, full)
 
 
-def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
+def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
     """True when a = lambda * b for some nonzero complex lambda.
 
     Decided by ``pair_proportional``, so the answer is invariant under

@@ -1,11 +1,23 @@
-"""Shared test utilities: random partitions, product states and an
-independent bit-string reimplementation of the qubit-loss projection."""
+"""Shared test utilities: random partitions, product states, an
+independent bit-string reimplementation of the qubit-loss projection and
+a memo-free reimplementation of the detector's recursion."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qubitloss import StateVector, random_product_state, random_state
+from qubitloss import (
+    Bipartition,
+    Certificate,
+    FactorizationWitness,
+    StateVector,
+    Verdict,
+    VerdictKind,
+    detect_base,
+    lose_qubit,
+    random_product_state,
+    random_state,
+)
 
 
 def random_bipartition_blocks(rng: np.random.Generator, n: int):
@@ -63,3 +75,39 @@ def project_by_bits(state: StateVector, k: int) -> np.ndarray:
         with1 = int(bits[: k - 1] + "1" + bits[k - 1 :], 2)
         out[idx] = amps[with0] + amps[with1]
     return out
+
+
+def reference_detect(state: StateVector, labels=None, tol: float = 1e-9) -> Verdict:
+    """``detect`` recomputed with no subset cache.
+
+    Every projection is recomputed from its parent; a state of up to four
+    qubits gets ``detect_base`` (witness blocks mapped back to the
+    original labels), a larger one the first two certified projections in
+    label order, a vanished projection counts as a product.
+    """
+    labels = tuple(range(1, state.num_qubits + 1)) if labels is None else labels
+    if len(labels) <= 4:
+        base = detect_base(state, tol)
+        if base.genuinely_entangled:
+            return Verdict(VerdictKind.GENUINE, certificate=Certificate(labels, "exact"))
+        part = base.witness.partition
+        block_a, block_b = (
+            tuple(labels[q - 1] for q in block) for block in (part.block_a, part.block_b)
+        )
+        witness = FactorizationWitness(Bipartition(block_a, block_b), base.witness.family)
+        return Verdict(VerdictKind.NOT_GENUINE, witness=witness)
+    certified = []
+    for pos, label in enumerate(labels, start=1):
+        proj = lose_qubit(state, pos)
+        if proj.is_zero:
+            continue
+        child = reference_detect(proj.state, labels[: pos - 1] + labels[pos:], tol)
+        if child.kind is VerdictKind.GENUINE:
+            certified.append((label, child.certificate))
+        if len(certified) == 2:
+            lost, children = zip(*certified)
+            return Verdict(
+                VerdictKind.GENUINE,
+                certificate=Certificate(labels, "two-projections", lost, children),
+            )
+    return Verdict(VerdictKind.INCONCLUSIVE)

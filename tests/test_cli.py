@@ -152,6 +152,29 @@ class TestInputGuards:
         assert code == 3
         assert f"MAX_QUBITS = {MAX_QUBITS}" in err
 
+    def test_n_with_file_exits_three(self, capsys, tmp_path):
+        # A file fixes its own qubit count; an ignored --n would hide a typo.
+        path = tmp_path / "bell.state"
+        path.write_text(dumps_state(ghz(2)))
+        code, out, err = run(capsys, "detect", "--file", str(path), "--n", "7")
+        assert code == 3
+        assert out == ""
+        assert "--n" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("project", "--catalog", "GHZ", "--n", "3", "--all", "--tol", "1e-9"),
+        ("project", "--catalog", "GHZ", "--n", "3", "--all", "--timing"),
+        ("tables", "--timing"),
+        ("selftest", "--trials", "1", "--timing"),
+    ], ids=["project-tol", "project-timing", "tables-timing", "selftest-timing"])
+    def test_flag_the_command_does_not_read_exits_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert err.count("\n") == 1
+
     def test_unexpected_exception_exits_three_in_one_line(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 16.0 TiB\nfor an array")

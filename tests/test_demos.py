@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against this checkout's package."""
+"""Every demo script runs to completion against this checkout's package,
+with a RuntimeWarning (overflow, invalid value) raised as an error: the
+pytest filter for it does not reach a subprocess."""
 
 import os
 import subprocess
@@ -15,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -40,6 +40,16 @@ class TestPairs:
         with pytest.raises(ValueError):
             pair_proportional([1], [1], tol=-1e-3)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_extreme_scales(self, scale):
+        # Unscaled, the minors and the threshold overflow (a NaN minor reads
+        # "not proportional", an infinite threshold "proportional") or
+        # underflow (a zero minor reads "proportional").
+        assert pair_proportional([scale, 2 * scale], [2 * scale, 4 * scale])
+        assert not pair_proportional([scale, 0], [0, scale])
+        assert pair_proportional([scale, 2 * scale], [1, 2])
+        assert not pair_proportional([scale, 0], [0, 1])
+
 
 class TestFamilies:
     def test_family_with_zero_member(self):
@@ -50,6 +60,14 @@ class TestFamilies:
 
     def test_all_zero_family(self):
         assert family_proportional([(0, 0), (0, 0), (0, 0)])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales(self, scale):
+        # Unscaled, the threshold for the rows of Bell x1e200 overflows to
+        # inf and Bell reads as a product.
+        bell_rows = [(scale, 0), (0, scale)]
+        assert not family_proportional(bell_rows)
+        assert family_proportional([(scale, 2 * scale), (3 * scale, 6 * scale), (0, 0)])
 
     def test_single_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -193,6 +193,17 @@ class TestEqualUpToScale:
         with pytest.raises(ValueError):
             equal_up_to_scale(ghz(2), ghz(3))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_extreme_scales(self, scale):
+        # Unscaled cross minors overflow to NaN (Bell x1e200 unequal to
+        # itself) or underflow to 0 (Bell x1e-200 equal to its sign flip).
+        bell = StateVector(2, [1, 0, 0, 1])
+        big = StateVector(2, bell.amplitudes * scale)
+        flipped = StateVector(2, np.array([1, 0, 0, -1]) * scale)
+        assert equal_up_to_scale(big, big)
+        assert equal_up_to_scale(big, bell)
+        assert not equal_up_to_scale(big, flipped)
+
     def test_reflexive_symmetric_scale_invariant(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 6))
