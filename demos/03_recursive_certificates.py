@@ -2,8 +2,11 @@
 
 A state with two genuinely entangled single-qubit-loss projections is
 itself genuinely entangled, so the detector recurses down to the exact
-small-system tests and returns the proof tree it followed.  The tree can
-be replayed from scratch against the state.
+small-system tests and returns the proof it followed.  Losses commute,
+so the proof is a DAG over qubit subsets: a subset that two parents reach
+is printed once, and "see above" marks its later occurrences.  Replaying
+it against the state checks each node once and recomputes each projection
+from scratch.
 """
 
 from qubitloss import (

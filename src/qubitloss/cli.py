@@ -29,6 +29,7 @@ from .base import all_factorizations
 from .catalog import CATALOG_KEYS, ghz, named_state, w_state
 from .detect import (
     Certificate,
+    _preorder,
     Verdict,
     VerdictKind,
     detect,
@@ -78,6 +79,26 @@ def _tolerance(text: str) -> float:
         return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _qubit_list(text: str) -> list[int]:
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected K[,K2,...] qubit numbers, got {text!r}")
+    return ks
+
+
+def _trial_count(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive trial count, got {text!r}")
+    return trials
 
 
 _FLAGS = {
@@ -131,11 +152,19 @@ def _witness_json(verdict: Verdict):
 def _certificate_json(cert: Certificate | None):
     if cert is None:
         return None
+    nodes = [node for node, _, repeat in _preorder(cert) if not repeat]
+    index = {id(node): i for i, node in enumerate(nodes)}
     return {
-        "qubits": list(cert.qubits),
-        "rule": cert.rule,
-        "lost": list(cert.lost) if cert.lost else None,
-        "children": [_certificate_json(c) for c in cert.children],
+        "format": "dag",
+        "nodes": [
+            {
+                "qubits": list(node.qubits),
+                "rule": node.rule,
+                "lost": list(node.lost) if node.lost else None,
+                "children": [index[id(child)] for child in node.children],
+            }
+            for node in nodes
+        ],
     }
 
 
@@ -226,13 +255,10 @@ def cmd_project(args) -> int:
                 blocks.append(dumps_state(r.state, "text").rstrip("\n"))
             print("\n".join(blocks))
         return 0
-    if not args.lose:
-        raise ValueError("provide --lose K[,K2,...] or --all")
-    ks = [int(tok) for tok in args.lose.split(",") if tok.strip()]
-    if len(ks) == 1:
-        out = lose_qubit(state, ks[0]).state
+    if len(args.lose) == 1:
+        out = lose_qubit(state, args.lose[0]).state
     else:
-        out = lose_qubit_set(state, ks)
+        out = lose_qubit_set(state, args.lose)
     sys.stdout.write(dumps_state(out, "json" if args.json else "text"))
     return 0
 
@@ -452,8 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="apply the qubit-loss projection")
     _input_flags(p)
     _flags(p, "--json")
-    p.add_argument("--lose", metavar="K[,K2,...]", help="qubit(s) to lose, 1-based")
-    p.add_argument("--all", action="store_true", help="print all n single-qubit projections")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument(
+        "--lose", type=_qubit_list, metavar="K[,K2,...]", help="qubit(s) to lose, 1-based"
+    )
+    which.add_argument("--all", action="store_true", help="print all n single-qubit projections")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("measure", help="count certified-genuine projections")
@@ -478,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="randomized soundness/agreement sweep")
     _flags(p, "--tol", "--json")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--trials", type=int, default=200, help="number of trials (default 200)")
+    p.add_argument(
+        "--trials", type=_trial_count, default=200, help="number of trials (default 200)"
+    )
     p.set_defaults(func=cmd_selftest)
 
     return parser

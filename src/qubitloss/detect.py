@@ -8,7 +8,7 @@ one-sided: fewer than two certified projections proves nothing, and the
 verdict is then inconclusive (``wclass_3q()`` shows why: genuinely
 entangled, all projections product).
 
-Successful detections carry a replayable certificate tree.  One walker
+Successful detections carry a replayable certificate DAG.  One walker
 serves ``detect``, ``entanglement_measure`` and ``detect_with_trace``; it
 is memoized on the subset of surviving qubit labels, which is sound
 because projections for different qubits commute.
@@ -34,7 +34,7 @@ class VerdictKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Proof tree behind a genuine verdict.
+    """Proof behind a genuine verdict, a DAG whose parents may share children.
 
     A leaf ("exact") records that the exact small-system test fired on
     the remaining qubits.  An inner node ("two-projections") names the
@@ -226,55 +226,68 @@ def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> TraceRepo
     return TraceReport(verdict=verdict, table=row)
 
 
+def _preorder(certificate: Certificate) -> List[Tuple[Certificate, int, bool]]:
+    """The ``(node, depth, repeat)`` steps of a pre-order walk that enters
+    each distinct node (by identity) once: a step that meets a node again
+    is a ``repeat`` and does not descend."""
+    steps, entered, stack = [], set(), [(certificate, 0)]
+    while stack:
+        node, depth = stack.pop()
+        steps.append((node, depth, id(node) in entered))
+        if id(node) not in entered:
+            entered.add(id(node))
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+    return steps
+
+
 def replay_certificate(
     state: StateVector, certificate: Certificate, tol: float = DEFAULT_TOL
 ) -> bool:
     """Re-derive a certificate from scratch against the given state.
 
-    Recomputes every projection along the tree and re-runs the exact
-    tests at the leaves, with no caching.  True iff every step checks
-    out.
+    Checks each distinct node once, projecting the state onto each subset
+    it names once and re-running the exact test at each leaf, with nothing
+    taken from ``detect``.  True iff every step checks out.
     """
     check_tolerance(tol)
-    return _replay(state, tuple(range(1, state.num_qubits + 1)), certificate, tol)
-
-
-def _replay(
-    state: StateVector, labels: Tuple[int, ...], node: Certificate, tol: float
-) -> bool:
-    if node.qubits != labels:
+    root = tuple(range(1, state.num_qubits + 1))
+    if certificate.qubits != root:
         return False
-    if node.rule == "exact":
-        return (
-            2 <= len(labels) <= _EXACT_MAX
-            and _leaf(state, labels, tol).kind is VerdictKind.GENUINE
-        )
-    if node.rule != "two-projections" or node.lost is None or len(node.children) != 2:
-        return False
-    l1, l2 = node.lost
-    if l1 == l2 or l1 not in labels or l2 not in labels:
-        return False
-    for lost, child in zip(node.lost, node.children):
-        pos = labels.index(lost) + 1
-        proj = lose_qubit(state, pos)
-        if proj.is_zero or not _replay(
-            proj.state, labels[: pos - 1] + labels[pos:], child, tol
-        ):
+    states = {root: state}
+    for node, _, repeat in _preorder(certificate):
+        labels = node.qubits
+        if repeat:
+            continue
+        if node.rule == "exact":
+            leaf = not node.children and 2 <= len(labels) <= _EXACT_MAX
+            if not leaf or _leaf(states[labels], labels, tol).kind is not VerdictKind.GENUINE:
+                return False
+            continue
+        lost_pair = set(node.lost or ())
+        if node.rule != "two-projections" or len(lost_pair) != 2 or len(node.children) != 2:
             return False
+        for lost, child in zip(node.lost, node.children):
+            if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
+                return False
+            if child.qubits not in states:
+                proj = lose_qubit(states[labels], labels.index(lost) + 1)
+                if proj.is_zero:
+                    return False
+                states[child.qubits] = proj.state
     return True
 
 
 def format_certificate(certificate: Certificate, indent: int = 0) -> str:
-    """Human-readable indented rendering of a certificate tree."""
-    pad = "  " * indent
-    qubits = "{" + ",".join(map(str, certificate.qubits)) + "}"
-    if certificate.rule == "exact":
-        lines = [f"{pad}{qubits}  exact {len(certificate.qubits)}-qubit test"]
-    else:
-        l1, l2 = certificate.lost
-        lines = [
-            f"{pad}{qubits}  certified by projections losing qubit {l1} and qubit {l2}"
-        ]
-        for child in certificate.children:
-            lines.append(format_certificate(child, indent + 1))
+    """Human-readable indented rendering of a certificate: each node under
+    its first parent, and a back-reference line under any other parent."""
+    lines = []
+    for node, depth, repeat in _preorder(certificate):
+        qubits = "{" + ",".join(map(str, node.qubits)) + "}"
+        if repeat:
+            what = "see above"
+        elif node.rule == "exact":
+            what = f"exact {len(node.qubits)}-qubit test"
+        else:
+            what = "certified by projections losing qubit {} and qubit {}".format(*node.lost)
+        lines.append(f"{'  ' * (indent + depth)}{qubits}  {what}")
     return "\n".join(lines)

@@ -21,6 +21,11 @@ import numpy as np
 from .states import StateVector, check_qubit_count
 
 
+# The Python types json gives a JSON number.  Tested with ``type``, not
+# ``isinstance``, because ``True`` is an int.
+_NUMBER = (int, float)
+
+
 def loads_state(text: str) -> StateVector:
     """Parse a state document, sniffing JSON vs text by the first character."""
     stripped = text.lstrip()
@@ -101,7 +106,7 @@ def _loads_json(text: str) -> StateVector:
     if not isinstance(doc, dict) or "qubits" not in doc or "amplitudes" not in doc:
         raise ValueError("JSON state document needs 'qubits' and 'amplitudes'")
     n = doc["qubits"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # not a bool, which is an int
         raise ValueError(f"bad qubit count {n!r}")
     check_qubit_count(n)
     pairs = doc["amplitudes"]
@@ -112,7 +117,14 @@ def _loads_json(text: str) -> StateVector:
         )
     amps = np.empty(1 << n, dtype=complex)
     for i, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if type(pair) is not list or len(pair) != 2:
             raise ValueError(f"amplitude {i} is not a [re, im] pair")
-        amps[i] = complex(float(pair[0]), float(pair[1]))
+        re_part, im_part = pair
+        if type(re_part) not in _NUMBER or type(im_part) not in _NUMBER:
+            raise ValueError(f"amplitude {i} has a part that is not a JSON number")
+        try:
+            amps[i] = complex(re_part, im_part)
+        except OverflowError:
+            raise ValueError(f"amplitude {i} is too large for a float") from None
     return StateVector(n, amps)
+

@@ -37,8 +37,37 @@ class TestDetectCommand:
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "genuine"
-        assert report["certificate"]["rule"] == "exact"
-        assert report["certificate"]["qubits"] == [1, 2, 3, 4]
+        root = report["certificate"]["nodes"][0]
+        assert root["rule"] == "exact"
+        assert root["qubits"] == [1, 2, 3, 4]
+
+    def test_certificate_is_a_node_list(self, capsys):
+        code, out, _ = run(capsys, "detect", "--catalog", "GHZ", "--n", "8", "--json")
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["format"] == "dag"
+        nodes = cert["nodes"]
+        assert nodes[0]["qubits"] == list(range(1, 9))
+        # One entry per distinct subset; each child index names its parent
+        # minus the lost qubit.
+        assert len({tuple(node["qubits"]) for node in nodes}) == len(nodes) == 15
+        for node in nodes:
+            if node["rule"] == "exact":
+                assert node["lost"] is None and node["children"] == []
+                continue
+            assert node["rule"] == "two-projections"
+            for lost, child in zip(node["lost"], node["children"], strict=True):
+                assert 0 < child < len(nodes)
+                expected = [q for q in node["qubits"] if q != lost]
+                assert nodes[child]["qubits"] == expected
+
+    def test_text_certificate_prints_each_subset_once(self, capsys):
+        code, out, _ = run(capsys, "detect", "--catalog", "GHZ", "--n", "7")
+        assert code == 0
+        lines = [line.strip() for line in out.splitlines() if line.lstrip().startswith("{")]
+        subsets = [line.split()[0] for line in lines if not line.endswith("see above")]
+        assert len(subsets) == len(set(subsets)) == 10
+        assert "{4,5,6,7}  see above" in lines
 
     def test_product_file_exit_one_with_witness(self, capsys, tmp_path):
         s = product_state([((1,), basis_state("0")), ((2, 3), ghz(2))])
@@ -173,6 +202,20 @@ class TestInputGuards:
         assert code == 3
         assert out == ""
         assert "unrecognized arguments" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("selftest", "--trials", "0"), "trial count"),
+        (("selftest", "--trials", "-5"), "trial count"),
+        (("project", "--catalog", "GHZ", "--n", "3", "--all", "--lose", "1"),
+         "not allowed with"),
+        (("project", "--catalog", "GHZ", "--n", "3", "--lose", "a"), "K[,K2,...]"),
+    ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number"])
+    def test_argument_value_exits_three(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert message in err
         assert err.count("\n") == 1
 
     def test_unexpected_exception_exits_three_in_one_line(self, capsys, monkeypatch):

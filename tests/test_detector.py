@@ -1,9 +1,11 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qubitloss import (
+    Certificate,
     StateVector,
     VerdictKind,
     all_projections,
@@ -101,6 +103,14 @@ class TestRecursion:
             assert detect(s) == reference_detect(s)
 
 
+def _with_first_leaf(cert, **changes):
+    """``cert`` with its first leaf, two levels down, replaced by a changed copy."""
+    first = cert.children[0]
+    leaf = replace(first.children[0], **changes)
+    first = replace(first, children=(leaf,) + first.children[1:])
+    return replace(cert, children=(first,) + cert.children[1:])
+
+
 class TestCertificates:
     def test_replay_recomputes_successfully(self):
         for s in (ghz(6), w_state(5), example3_4q(), ghz(8)):
@@ -115,6 +125,61 @@ class TestCertificates:
     def test_replay_fails_on_mislabeled_tree(self):
         cert = detect(ghz(5)).certificate
         assert not replay_certificate(ghz(6), cert)
+
+    def test_replay_fails_on_zero_projection(self):
+        # Losing qubit 1 of |->|GHZ(5)> gives the zero vector.
+        minus = StateVector(1, [1, -1])
+        s = product_state([((1,), minus), ((2, 3, 4, 5, 6), ghz(5))])
+        cert = detect(ghz(6)).certificate
+        assert cert.lost[0] == 1
+        assert not replay_certificate(s, cert)
+
+    @pytest.mark.parametrize("forge", [
+        lambda c: replace(c, lost=(1, 9)),
+        lambda c: replace(c, children=c.children[::-1]),
+        lambda c: replace(c, lost=(1, 1), children=(c.children[0],) * 2),
+        lambda c: replace(c, lost=(1, 2, 3)),
+        lambda c: replace(c, children=c.children[:1]),
+        lambda c: replace(c, rule="oracle"),
+        lambda c: replace(
+            c, children=(Certificate(c.children[0].qubits, "exact"), c.children[1])
+        ),
+        lambda c: replace(c, rule="exact"),
+        lambda c: _with_first_leaf(c, children=(Certificate((7,), "oracle"),)),
+    ], ids=[
+        "lost-not-in-node", "child-not-parent-minus-lost", "equal-lost",
+        "three-lost", "one-child", "unknown-rule", "exact-on-5-qubits",
+        "exact-on-6-qubits", "exact-with-children",
+    ])
+    def test_forged_certificate_rejected(self, forge):
+        s = ghz(6)
+        cert = detect(s).certificate
+        assert replay_certificate(s, cert)
+        assert not replay_certificate(s, forge(cert))
+
+    def test_exact_leaf_on_product_subset_rejected(self):
+        # Losing qubit 1 of Bell x GHZ(3) leaves |+> x GHZ(3), a product.
+        s = product_state([((1, 2), ghz(2)), ((3, 4, 5), ghz(3))])
+        forged = Certificate((1, 2, 3, 4, 5), "two-projections", (1, 2), (
+            Certificate((2, 3, 4, 5), "exact"), Certificate((1, 3, 4, 5), "exact"),
+        ))
+        assert not replay_certificate(s, forged)
+        cert = detect(ghz(5)).certificate
+        assert cert == forged and replay_certificate(ghz(5), cert)
+
+    def test_shared_subset_checked_through_every_node(self):
+        # {3,4,5,6} is shared: the root's first child reaches it through the
+        # valid node, the second through a forged copy of it.
+        s = ghz(6)
+        cert = detect(s).certificate
+        first, second = cert.children
+        shared = first.children[0]
+        assert second.children[0] is shared and shared.qubits == (3, 4, 5, 6)
+        copy = replace(shared, rule="oracle")
+        forged = replace(cert, children=(first, replace(second, children=(
+            copy, second.children[1],
+        ))))
+        assert not replay_certificate(s, forged)
 
     def test_children_drop_one_label_each(self):
         cert = detect(ghz(7)).certificate
@@ -245,6 +310,18 @@ class TestWalkerWork:
     def test_projection_count(self, projections, entry, expected):
         entry(ghz(8))
         assert len(projections) == expected
+
+    def test_replay_projects_each_subset_once(self, projections):
+        s = ghz(8)
+        cert = detect(s).certificate
+        subsets, stack = set(), [cert]
+        while stack:
+            node = stack.pop()
+            subsets.add(node.qubits)
+            stack.extend(node.children)
+        projections.clear()
+        assert replay_certificate(s, cert)
+        assert len(projections) == len(subsets) - 1 == 14
 
     def test_measure_command_walks_once(self, projections, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0

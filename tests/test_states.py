@@ -296,6 +296,23 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="exactly 4"):
             loads_state(json.dumps(doc))
 
+    def test_json_bool_qubit_count(self):
+        doc = {"qubits": True, "amplitudes": [[1, 0], [0, 0]]}
+        with pytest.raises(ValueError, match="qubit count"):
+            loads_state(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", [
+        [None, 0], [[1], 0], [True, 0], ["1e5", 0], [10**400, 0],
+    ], ids=["null", "list", "bool", "string", "huge-int"])
+    def test_json_amplitude_not_a_number_pair(self, entry):
+        doc = {"qubits": 1, "amplitudes": [entry, [0, 0]]}
+        with pytest.raises(ValueError, match="amplitude 0"):
+            loads_state(json.dumps(doc))
+
+    def test_json_int_and_float_amplitudes(self):
+        doc = {"qubits": 1, "amplitudes": [[1, 0], [0.5, -2]]}
+        np.testing.assert_array_equal(loads_state(json.dumps(doc)).amplitudes, [1, 0.5 - 2j])
+
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             loads_state("qubits: 1\n0 1\n")
