@@ -12,14 +12,12 @@ rank plus partial trace and a two-qubit PPT check) for cross-validation.
 from .base import (
     BaseVerdict,
     FactorizationWitness,
-    SufficientCheck,
     all_factorizations,
     coefficient_groups,
     detect_2q,
     detect_3q,
     detect_4q,
     detect_base,
-    sufficient_3q,
 )
 from .catalog import (
     CATALOG_KEYS,
@@ -35,6 +33,7 @@ from .catalog import (
 from .detect import (
     Certificate,
     MeasureReport,
+    SufficientCheck,
     TraceReport,
     Verdict,
     VerdictKind,
@@ -43,6 +42,7 @@ from .detect import (
     entanglement_measure,
     format_certificate,
     replay_certificate,
+    sufficient_3q,
 )
 from .oracle import (
     MAX_SCAN_QUBITS,

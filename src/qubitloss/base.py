@@ -22,7 +22,6 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .projection import all_projections
 from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
 from .states import Bipartition, StateVector, _matricize
 
@@ -47,14 +46,6 @@ class FactorizationWitness:
 class BaseVerdict:
     genuinely_entangled: bool
     witness: FactorizationWitness | None = None
-
-
-@dataclass(frozen=True)
-class SufficientCheck:
-    """Outcome of the three-qubit shortcut on its projections."""
-
-    per_projection_entangled: Tuple[bool, bool, bool]
-    certified: bool
 
 
 @lru_cache(maxsize=None)
@@ -180,22 +171,3 @@ def all_factorizations(
     """Every candidate split that tests proportional (fully product states
     report several)."""
     return list(_proportional_splits(state, tol))
-
-
-def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SufficientCheck:
-    """Certify a three-qubit state genuine from its projections alone.
-
-    Each of the three two-qubit projections gets the exact two-qubit
-    test; two entangled projections certify genuine entanglement.
-    Sufficient, not necessary: ``wclass_3q()`` is genuinely entangled yet
-    certifies nothing here.
-    """
-    n = state.num_qubits
-    if n != 3:
-        raise ValueError(f"expected a 3-qubit state, got {n} qubits")
-    flags = tuple(
-        detect_2q(p.state, tol).genuinely_entangled for p in all_projections(state)
-    )
-    return SufficientCheck(
-        per_projection_entangled=flags, certified=sum(flags) >= 2
-    )

@@ -3,7 +3,7 @@
 Subcommands: detect, project, measure, tables, oracle, selftest.
 
 Exit codes
-    0  certified genuinely entangled (detect/oracle: genuine)
+    0  certified genuinely entangled (detect/measure/oracle: genuine)
     1  certified not genuinely entangled (oracle: not genuine)
     2  inconclusive
     3  usage or input error (bad file, zero state, unknown catalog key,
@@ -83,22 +83,27 @@ def _tolerance(text: str) -> float:
 
 def _qubit_list(text: str) -> list[int]:
     try:
-        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+        ks = [int(tok) for tok in text.split(",")]
     except ValueError:
         ks = []
     if not ks:
         raise argparse.ArgumentTypeError(f"expected K[,K2,...] qubit numbers, got {text!r}")
+    if len(set(ks)) != len(ks):
+        raise argparse.ArgumentTypeError(f"a qubit is repeated in {text!r}")
     return ks
 
 
-def _trial_count(text: str) -> int:
-    try:
-        trials = int(text)
-    except ValueError:
-        trials = 0
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive trial count, got {text!r}")
-    return trials
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 _FLAGS = {
@@ -293,7 +298,7 @@ def cmd_measure(args) -> int:
         lines.append(f"  lose {k}: {v.kind.value}")
     lines.append(f"time:      {elapsed_ms:.3f} ms")
     _emit(args, report, lines)
-    return 0
+    return _EXIT_BY_KIND[verdict.kind]
 
 
 # Expected classifications for the built-in survey tables.
@@ -330,13 +335,9 @@ def cmd_tables(args) -> int:
         keeps = ((1, 2), (1, 3), (2, 3))
         separable = [ppt_2qubit(partial_trace(state, keep), tol=args.tol) for keep in keeps]
         reference = family(2)
-        projections = all_projections(state)
-        entangled = [
-            detect(p.state, tol=args.tol).kind is VerdictKind.GENUINE
-            for p in projections
-        ]
+        entangled = [e == "entangled" for e in detect_with_trace(state, tol=args.tol).table]
         preserved = [
-            equal_up_to_scale(p.state, reference, args.tol) for p in projections
+            equal_up_to_scale(p.state, reference, args.tol) for p in all_projections(state)
         ]
         compare_rows.append((name, separable, entangled, preserved))
         if any(s != want_separable for s in separable):
@@ -506,9 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="randomized soundness/agreement sweep")
     _flags(p, "--tol", "--json")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--trials", type=_trial_count, default=200, help="number of trials (default 200)"
+        "--seed", type=_int_at_least(0, "a seed >= 0"), default=0, help="RNG seed (default 0)"
+    )
+    p.add_argument(
+        "--trials", type=_int_at_least(1, "a positive trial count"), default=200,
+        help="number of trials (default 200)",
     )
     p.set_defaults(func=cmd_selftest)
 

@@ -9,9 +9,9 @@ verdict is then inconclusive (``wclass_3q()`` shows why: genuinely
 entangled, all projections product).
 
 Successful detections carry a replayable certificate DAG.  One walker
-serves ``detect``, ``entanglement_measure`` and ``detect_with_trace``; it
-is memoized on the subset of surviving qubit labels, which is sound
-because projections for different qubits commute.
+serves ``detect``, ``entanglement_measure``, ``detect_with_trace`` and
+``sufficient_3q``; it is memoized on the subset of surviving qubit
+labels, which is sound because projections for different qubits commute.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .base import FactorizationWitness, detect_base
+from .base import CANDIDATE_SPLITS, FactorizationWitness, detect_base
 from .projection import lose_qubit
 from .proportional import DEFAULT_TOL, check_tolerance
 from .states import Bipartition, StateVector
@@ -79,7 +79,15 @@ class TraceReport:
     table: Tuple[str, ...]
 
 
-_EXACT_MAX = 4
+@dataclass(frozen=True)
+class SufficientCheck:
+    """Outcome of the three-qubit shortcut on its projections."""
+
+    per_projection_entangled: Tuple[bool, bool, bool]
+    certified: bool
+
+
+_EXACT_MAX = max(CANDIDATE_SPLITS)
 
 # The verdict of a child whose projection vanished (a product).
 _VANISHED = Verdict(kind=VerdictKind.NOT_GENUINE)
@@ -226,6 +234,19 @@ def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> TraceRepo
     return TraceReport(verdict=verdict, table=row)
 
 
+def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SufficientCheck:
+    """Certify a three-qubit state genuine from two entangled projections,
+    each classified by the walker's root sweep (a vanished one is a
+    product).  Sufficient, not necessary: ``wclass_3q()`` certifies nothing."""
+    if state.num_qubits != 3:
+        raise ValueError(f"expected a 3-qubit state, got {state.num_qubits} qubits")
+    check_tolerance(tol)
+    children: List[Verdict] = []
+    _walk(state, (1, 2, 3), tol, {}, children)
+    flags = tuple(v.kind is VerdictKind.GENUINE for v in children)
+    return SufficientCheck(per_projection_entangled=flags, certified=sum(flags) >= 2)
+
+
 def _preorder(certificate: Certificate) -> List[Tuple[Certificate, int, bool]]:
     """The ``(node, depth, repeat)`` steps of a pre-order walk that enters
     each distinct node (by identity) once: a step that meets a node again
@@ -247,20 +268,23 @@ def replay_certificate(
 
     Checks each distinct node once, projecting the state onto each subset
     it names once and re-running the exact test at each leaf, with nothing
-    taken from ``detect``.  True iff every step checks out.
+    taken from ``detect``.  True iff every step checks out.  A projected
+    state is dropped when its node is entered.
     """
     check_tolerance(tol)
     root = tuple(range(1, state.num_qubits + 1))
     if certificate.qubits != root:
         return False
-    states = {root: state}
+    states, entered = {root: state}, set()
     for node, _, repeat in _preorder(certificate):
         labels = node.qubits
         if repeat:
             continue
+        entered.add(id(node))
+        current = states.pop(labels)
         if node.rule == "exact":
             leaf = not node.children and 2 <= len(labels) <= _EXACT_MAX
-            if not leaf or _leaf(states[labels], labels, tol).kind is not VerdictKind.GENUINE:
+            if not leaf or _leaf(current, labels, tol).kind is not VerdictKind.GENUINE:
                 return False
             continue
         lost_pair = set(node.lost or ())
@@ -269,8 +293,8 @@ def replay_certificate(
         for lost, child in zip(node.lost, node.children):
             if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
                 return False
-            if child.qubits not in states:
-                proj = lose_qubit(states[labels], labels.index(lost) + 1)
+            if id(child) not in entered and child.qubits not in states:
+                proj = lose_qubit(current, labels.index(lost) + 1)
                 if proj.is_zero:
                     return False
                 states[child.qubits] = proj.state

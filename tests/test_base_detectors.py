@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from qubitloss import (
     StateVector,
+    VerdictKind,
     all_factorizations,
     all_projections,
     basis_state,
@@ -11,6 +13,7 @@ from qubitloss import (
     detect_3q,
     detect_4q,
     detect_base,
+    entanglement_measure,
     example3_4q,
     ghz,
     numerical_rank,
@@ -192,8 +195,26 @@ class TestSufficientThreeQubit:
                 for res in all_projections(s)
             )
             assert check.per_projection_entangled == direct
+            measured = entanglement_measure(s).per_qubit
+            assert check.per_projection_entangled == tuple(
+                v.kind is VerdictKind.GENUINE for v in measured
+            )
             if check.certified:
                 assert detect_3q(s).genuinely_entangled
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-14, 1e-15])
+    def test_near_cancelling_product_not_certified(self, eps):
+        # Each projection of |->|->|-> plus tiny noise is at most 2 eps:
+        # it vanishes, and a vanished projection is a product.
+        minus = np.array([1, -1]) / np.sqrt(2)
+        product = np.kron(np.kron(minus, minus), minus)
+        for seed in range(20):
+            noise = np.random.default_rng(seed).random(8)
+            s = StateVector(3, product + eps * noise)
+            check = sufficient_3q(s)
+            assert check.per_projection_entangled == (False, False, False)
+            assert not check.certified
+            assert entanglement_measure(s).genuine_count == 0
 
     def test_certified_implies_genuine_on_products_too(self, rng):
         for _ in range(300):

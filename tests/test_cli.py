@@ -210,7 +210,11 @@ class TestInputGuards:
         (("project", "--catalog", "GHZ", "--n", "3", "--all", "--lose", "1"),
          "not allowed with"),
         (("project", "--catalog", "GHZ", "--n", "3", "--lose", "a"), "K[,K2,...]"),
-    ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number"])
+        (("project", "--catalog", "GHZ", "--n", "4", "--lose", "1,1"), "repeated"),
+        (("project", "--catalog", "GHZ", "--n", "4", "--lose", ",,1"), "K[,K2,...]"),
+        (("selftest", "--seed", "-1"), "--seed"),
+    ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number",
+            "lose-repeated", "lose-empty-entry", "seed-negative"])
     def test_argument_value_exits_three(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -297,12 +301,22 @@ class TestMeasureCommand:
 
     def test_w4_is_mes(self, capsys):
         code, out, _ = run(capsys, "measure", "--catalog", "W", "--n", "4", "--json")
+        assert code == 0
         assert json.loads(out)["measure"]["is_mes"]
 
     def test_ghz3_is_mes(self, capsys):
         code, out, _ = run(capsys, "measure", "--catalog", "GHZ", "--n", "3", "--json")
+        assert code == 0
         m = json.loads(out)["measure"]
         assert m["value"] == 3 and m["is_mes"] and m["exact"]
+
+    @pytest.mark.parametrize("n, verdict, expected", [
+        ("4", "not-genuine", 1), ("6", "inconclusive", 2),
+    ])
+    def test_exit_code_follows_verdict(self, capsys, n, verdict, expected):
+        code, out, _ = run(capsys, "measure", "--catalog", "DICKE(0)", "--n", n, "--json")
+        assert json.loads(out)["verdict"] == verdict
+        assert code == expected
 
 
 class TestTablesCommand:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,21 @@ class TestWalkerWork:
         projections.clear()
         assert replay_certificate(s, cert)
         assert len(projections) == len(subsets) - 1 == 14
+
+    def test_replay_peak_memory_stays_near_one_state(self):
+        # A projected state is dropped once its node is entered, so the
+        # peak stays below two copies of the state.
+        s = random_state(np.random.default_rng(16), 16)
+        cert = detect(s).certificate
+        tracemalloc.start()
+        try:
+            assert replay_certificate(s, cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * s.amplitudes.nbytes
+        forged = _with_first_leaf(cert, rule="oracle")
+        assert not replay_certificate(s, forged)
 
     def test_measure_command_walks_once(self, projections, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
