@@ -94,7 +94,6 @@ def cluster4() -> StateVector:
     return StateVector(4, amps)
 
 
-_FIXED_N = {"PHI4": 4, "EXAMPLE3_4Q": 4, "WCLASS_3Q": 3, "CLUSTER4": 4}
 _FIXED_BUILDERS = {
     "PHI4": phi4,
     "EXAMPLE3_4Q": example3_4q,
@@ -113,11 +112,11 @@ def named_state(name: str, num_qubits: int | None = None) -> StateVector:
     key = name.strip().upper()
     if num_qubits is not None:
         check_qubit_count(num_qubits)
-    if key in _FIXED_N:
-        forced = _FIXED_N[key]
-        if num_qubits is not None and num_qubits != forced:
-            raise ValueError(f"{key} is a {forced}-qubit state, got n={num_qubits}")
-        return _FIXED_BUILDERS[key]()
+    if key in _FIXED_BUILDERS:
+        state = _FIXED_BUILDERS[key]()
+        if num_qubits is not None and num_qubits != state.num_qubits:
+            raise ValueError(f"{key} is a {state.num_qubits}-qubit state, got n={num_qubits}")
+        return state
     if key == "GHZ" or key == "W":
         if num_qubits is None:
             raise ValueError(f"{key} needs an explicit qubit count")

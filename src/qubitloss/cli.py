@@ -30,7 +30,6 @@ from .catalog import CATALOG_KEYS, ghz, named_state, w_state
 from .detect import (
     Certificate,
     _preorder,
-    Verdict,
     VerdictKind,
     detect,
     detect_with_trace,
@@ -41,6 +40,7 @@ from .oracle import find_product_cut, oracle_genuine, partial_trace, ppt_2qubit
 from .projection import all_projections, lose_qubit, lose_qubit_set
 from .proportional import DEFAULT_TOL, check_tolerance
 from .states import (
+    Bipartition,
     StateVector,
     basis_state,
     equal_up_to_scale,
@@ -147,10 +147,9 @@ def _load_input(args) -> tuple[StateVector, str]:
     return state, f"catalog:{args.catalog.strip().upper()}(n={state.num_qubits})"
 
 
-def _witness_json(verdict: Verdict):
-    if verdict.witness is None:
+def _partition_json(part: Bipartition | None):
+    if part is None:
         return None
-    part = verdict.witness.partition
     return {"block_a": list(part.block_a), "block_b": list(part.block_b)}
 
 
@@ -207,13 +206,12 @@ def cmd_detect(args) -> int:
 
     report = _base_report(args, "detect", source, state)
     report["verdict"] = verdict.kind.value
-    report["witness"] = _witness_json(verdict)
+    report["witness"] = _partition_json(verdict.witness and verdict.witness.partition)
     report["certificate"] = _certificate_json(verdict.certificate)
     report["projection_row"] = row
     if args.exhaustive and verdict.kind is VerdictKind.NOT_GENUINE:
         report["factorizations"] = [
-            {"block_a": list(w.partition.block_a), "block_b": list(w.partition.block_b)}
-            for w in all_factorizations(state, tol=args.tol)
+            _partition_json(w.partition) for w in all_factorizations(state, tol=args.tol)
         ]
     if args.timing:
         report["wall_time_ms"] = elapsed_ms
@@ -391,9 +389,7 @@ def cmd_oracle(args) -> int:
     report = _base_report(args, "oracle", source, state)
     report["oracle"] = {
         "genuine": genuine,
-        "product_cut": None
-        if cut is None
-        else {"block_a": list(cut.block_a), "block_b": list(cut.block_b)},
+        "product_cut": _partition_json(cut),
     }
     lines = [f"input:     {source}"]
     lines.append(

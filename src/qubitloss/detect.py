@@ -92,6 +92,9 @@ _EXACT_MAX = max(CANDIDATE_SPLITS)
 # The verdict of a child whose projection vanished (a product).
 _VANISHED = Verdict(kind=VerdictKind.NOT_GENUINE)
 
+# The walker's memo: the verdict on each subset of surviving qubit labels.
+_Cache = Dict[Tuple[int, ...], Verdict]
+
 _ROW_ENTRY = {
     VerdictKind.GENUINE: "entangled",
     VerdictKind.NOT_GENUINE: "product",
@@ -126,56 +129,57 @@ def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> Verdict:
     )
 
 
-def _walk(
-    state: StateVector,
-    labels: Tuple[int, ...],
-    tol: float,
-    cache: Dict[Tuple[int, ...], Verdict],
-    row: Optional[List[Verdict]] = None,
+def _child(
+    state: StateVector, labels: Tuple[int, ...], pos: int, tol: float, cache: _Cache
 ) -> Verdict:
-    """Verdict on ``state``, whose qubits carry ``labels``, memoized in
-    ``cache`` by the surviving labels.
+    """Verdict on ``state`` with its ``pos``-th qubit lost, memoized in
+    ``cache`` by the surviving labels; ``_VANISHED`` if the projection
+    vanishes."""
+    child_labels = labels[: pos - 1] + labels[pos:]
+    verdict = cache.get(child_labels)
+    if verdict is None:
+        proj = lose_qubit(state, pos)
+        if proj.is_zero:
+            verdict = cache[child_labels] = _VANISHED
+        else:
+            verdict = _walk(proj.state, child_labels, tol, cache)
+    return verdict
 
-    Above the exact regime the children (one qubit lost each) are visited
-    in label order until two certify; the certificate cites those two.
-    Passing ``row`` (at the root only) visits every child of the root
-    whatever its size and appends each child's verdict to ``row``
-    (``_VANISHED`` where the projection vanished), while the subtrees
-    below still stop early.
-    """
-    verdict = cache.get(labels)
-    if verdict is not None:
-        return verdict
-    n = len(labels)
-    certified: List[Tuple[int, Certificate]] = []
-    if n > _EXACT_MAX or row is not None:
-        for pos in range(1, n + 1):
-            if len(certified) >= 2 and row is None:
-                break
-            child_labels = labels[: pos - 1] + labels[pos:]
-            child = cache.get(child_labels)
-            if child is None:
-                proj = lose_qubit(state, pos)
-                if proj.is_zero:
-                    child = cache[child_labels] = _VANISHED
-                else:
-                    child = _walk(proj.state, child_labels, tol, cache)
-            if row is not None:
-                row.append(child)
-            if child.kind is VerdictKind.GENUINE:
-                certified.append((labels[pos - 1], child.certificate))
-    if n <= _EXACT_MAX:
+
+def _walk(state: StateVector, labels: Tuple[int, ...], tol: float, cache: _Cache) -> Verdict:
+    """Verdict on ``state``, whose qubits carry ``labels``, stored in
+    ``cache`` by those labels.  Above the exact regime the children (one
+    qubit lost each) are visited in label order until two certify; the
+    certificate cites those two."""
+    if len(labels) <= _EXACT_MAX:
         verdict = _leaf(state, labels, tol)
-    elif len(certified) >= 2:
-        lost, children = zip(*certified[:2])
-        verdict = Verdict(
-            kind=VerdictKind.GENUINE,
-            certificate=Certificate(labels, "two-projections", lost, children),
-        )
     else:
+        certified: List[Tuple[int, Certificate]] = []
+        for pos, lost in enumerate(labels, start=1):
+            child = _child(state, labels, pos, tol, cache)
+            if child.kind is VerdictKind.GENUINE:
+                certified.append((lost, child.certificate))
+                if len(certified) == 2:
+                    break
         verdict = Verdict(kind=VerdictKind.INCONCLUSIVE)
+        if len(certified) == 2:
+            lost, children = zip(*certified)
+            verdict = Verdict(
+                kind=VerdictKind.GENUINE,
+                certificate=Certificate(labels, "two-projections", lost, children),
+            )
     cache[labels] = verdict
     return verdict
+
+
+def _sweep(state: StateVector, tol: float) -> Tuple[Verdict, Tuple[Verdict, ...]]:
+    """The state's verdict and, in qubit order, the verdicts on all its
+    single-qubit-loss projections (``_VANISHED`` where one vanished), all
+    from one cache, so the state's walk re-projects none of its children."""
+    labels = tuple(range(1, state.num_qubits + 1))
+    cache: _Cache = {}
+    row = tuple(_child(state, labels, pos, tol, cache) for pos in range(1, len(labels) + 1))
+    return _walk(state, labels, tol, cache), row
 
 
 def _check_input(state: StateVector, min_qubits: int, what: str, tol: float) -> None:
@@ -207,12 +211,10 @@ def entanglement_measure(
     the state's own verdict.
     """
     _check_input(state, 3, "the measure", tol)
-    per_qubit: List[Verdict] = []
-    labels = tuple(range(1, state.num_qubits + 1))
-    verdict = _walk(state, labels, tol, {}, per_qubit)
+    verdict, per_qubit = _sweep(state, tol)
     count = sum(v.kind is VerdictKind.GENUINE for v in per_qubit)
     return MeasureReport(
-        per_qubit=tuple(per_qubit),
+        per_qubit=per_qubit,
         genuine_count=count,
         count_is_exact=(state.num_qubits - 1) <= _EXACT_MAX,
         is_mes=count == state.num_qubits,
@@ -227,9 +229,7 @@ def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> TraceRepo
     of six or more qubits that certify nothing) "inconclusive".
     """
     _check_input(state, 2, "detection", tol)
-    children: List[Verdict] = []
-    labels = tuple(range(1, state.num_qubits + 1))
-    verdict = _walk(state, labels, tol, {}, children)
+    verdict, children = _sweep(state, tol)
     row = tuple("zero" if v is _VANISHED else _ROW_ENTRY[v.kind] for v in children)
     return TraceReport(verdict=verdict, table=row)
 
@@ -241,9 +241,7 @@ def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SufficientChe
     if state.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.num_qubits} qubits")
     check_tolerance(tol)
-    children: List[Verdict] = []
-    _walk(state, (1, 2, 3), tol, {}, children)
-    flags = tuple(v.kind is VerdictKind.GENUINE for v in children)
+    flags = tuple(v.kind is VerdictKind.GENUINE for v in _sweep(state, tol)[1])
     return SufficientCheck(per_projection_entangled=flags, certified=sum(flags) >= 2)
 
 
@@ -284,7 +282,7 @@ def replay_certificate(
         current = states.pop(labels)
         if node.rule == "exact":
             leaf = not node.children and 2 <= len(labels) <= _EXACT_MAX
-            if not leaf or _leaf(current, labels, tol).kind is not VerdictKind.GENUINE:
+            if not leaf or not detect_base(current, tol).genuinely_entangled:
                 return False
             continue
         lost_pair = set(node.lost or ())

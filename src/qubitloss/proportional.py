@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +53,13 @@ def max_cross_minor(u, v) -> float:
         raise ValueError(f"vector lengths differ: {u.size} vs {v.size}")
     if u.size == 0:
         raise ValueError("vectors must have at least one entry")
-    outer = np.outer(u, v)
-    return float(np.abs(outer - outer.T).max())
+    # Blocks of at most 2^16 minors keep memory flat in d; each minor keeps the
+    # operand order of u_i v_j - u_j v_i, so no bit depends on the block height.
+    height = max(1, (1 << 16) // u.size)
+    return float(reduce(np.maximum, (  # np.maximum, not max: NaN propagates
+        np.abs(np.outer(u[r : r + height], v) - np.outer(u, v[r : r + height]).T).max()
+        for r in range(0, u.size, height)
+    )))
 
 
 def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:

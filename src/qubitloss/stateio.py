@@ -101,7 +101,7 @@ def _loads_text(text: str) -> StateVector:
 def _loads_json(text: str) -> StateVector:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: deep nesting
         raise ValueError(f"bad JSON state document: {exc}") from None
     if not isinstance(doc, dict) or "qubits" not in doc or "amplitudes" not in doc:
         raise ValueError("JSON state document needs 'qubits' and 'amplitudes'")

@@ -1,9 +1,16 @@
+import io
 import json
 import math
+import os
+import re
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitloss.catalog
 import qubitloss.cli
@@ -377,6 +384,17 @@ class TestDeterminism:
         assert first == second
 
 
+@pytest.mark.parametrize("command", [("detect",), ("measure",), ("oracle", "--compare")])
+def test_timing_is_the_last_key_and_only_on_request(capsys, command):
+    argv = (*command, "--catalog", "GHZ", "--n", "5", "--json")
+    _, out, _ = run(capsys, *argv, "--timing")
+    report = json.loads(out)
+    assert list(report)[-1] == "wall_time_ms"
+    assert report["wall_time_ms"] >= 0
+    _, out, _ = run(capsys, *argv)
+    assert "wall_time_ms" not in json.loads(out)
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "1")
@@ -392,3 +410,56 @@ class TestMisc:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
+
+
+# One token of a valid state document is replaced by one of these: numbers
+# that keep a header at 10 qubits or fewer, or put it past MAX_QUBITS (so it
+# is refused before anything is allocated), syntax out of place, and
+# nesting deeper than Python's recursion limit.
+_TOKENS = (
+    "", " ", "\n", "0", "-1", "1.5", "3", "10", "99", "9" * 400, "1e999",
+    "NaN", "Infinity", "null", "true", '"1"', "[", "]", "{", "}", ",", ":",
+    "qubits", "0x1", "[" * 100000,
+)
+
+# Written to a file and read back in text mode, "\r" would become "\n".
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"))
+
+
+@st.composite
+def _mutated_documents(draw):
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * (rng.random(1 << n) < 0.5)
+    doc = dumps_state(StateVector(n, amps), draw(st.sampled_from(["text", "json"])))
+    tokens = re.findall(r"\s+|[^\s\[\]{},:]+|[\[\]{},:]", doc)
+    tokens[rng.integers(len(tokens))] = draw(st.sampled_from(_TOKENS))  # uniform position
+    return "".join(tokens)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    text=st.one_of(
+        _TEXT,
+        _TEXT.map(lambda t: "{" + t),
+        _TEXT.map(lambda t: "qubits: 2\n" + t),
+        _mutated_documents(),
+    )
+)
+def test_a_rejected_state_document_is_one_error_line(text):
+    try:
+        loads_state(text)
+    except ValueError:
+        pass
+    else:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.state")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["detect", "--file", path])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

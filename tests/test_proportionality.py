@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -11,8 +13,9 @@ from qubitloss import (
     max_cross_minor,
     pair_proportional,
     product_state,
+    random_state,
 )
-from qubitloss.states import StateVector
+from qubitloss.states import StateVector, equal_up_to_scale
 
 
 class TestPairs:
@@ -99,6 +102,30 @@ finite_complex = st.complex_numbers(
 nonzero_complex = st.sampled_from(
     [u * p for u in (1, -1, 1j, -1j, 0.6 + 0.8j, 3 - 2j) for p in (2.0**-9, 1.0, 2.0**10)]
 )
+
+
+@pytest.mark.parametrize("d", [300, 512])
+def test_blocked_minors_match_the_whole_matrix_bitwise(d):
+    # d = 300 and 512 need two and four blocks of rows.
+    rng = np.random.default_rng(d)
+    u = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = (0.3 - 2j) * u + 1e-12 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+    outer = np.outer(u, v)
+    assert max_cross_minor(u, v) == float(np.abs(outer - outer.T).max())
+
+
+def test_equal_up_to_scale_memory_stays_flat_at_11_qubits():
+    # The whole 2048 x 2048 minor matrix would take 64 MiB per complex
+    # temporary; formed a block of rows at a time it takes a few MiB.
+    rng = np.random.default_rng(11)
+    a, b = random_state(rng, 11), random_state(rng, 11)
+    tracemalloc.start()
+    try:
+        assert not equal_up_to_scale(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @st.composite

@@ -137,9 +137,9 @@ class TestCatalog:
             named_state("BELLISH", 2)
 
     def test_inconsistent_qubit_count(self):
-        with pytest.raises(ValueError):
-            named_state("PHI4", 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^PHI4 is a 4-qubit state, got n=3$"):
+            named_state("PHI4", 3)
+        with pytest.raises(ValueError, match="^WCLASS_3Q is a 3-qubit state, got n=4$"):
             named_state("WCLASS_3Q", 4)
         with pytest.raises(ValueError):
             named_state("GHZ")  # needs n
@@ -312,6 +312,11 @@ class TestStateFiles:
     def test_json_int_and_float_amplitudes(self):
         doc = {"qubits": 1, "amplitudes": [[1, 0], [0.5, -2]]}
         np.testing.assert_array_equal(loads_state(json.dumps(doc)).amplitudes, [1, 0.5 - 2j])
+
+    def test_deeply_nested_json(self):
+        text = '{"qubits": 1, "amplitudes": ' + "[" * 100000 + "]" * 100000 + "}"
+        with pytest.raises(ValueError, match="^bad JSON state document: "):
+            loads_state(text)
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
