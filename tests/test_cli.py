@@ -94,12 +94,24 @@ class TestDetectCommand:
         assert code == 2
         assert json.loads(out)["verdict"] == "inconclusive"
 
-    def test_exhaustive_adds_projection_row(self, capsys):
-        code, out, _ = run(
-            capsys, "detect", "--catalog", "WCLASS_3Q", "--json", "--exhaustive"
-        )
-        assert code == 0
-        assert json.loads(out)["projection_row"] == ["product", "product", "product"]
+    @pytest.mark.parametrize("document, code, factorizations", [
+        ("qubits: 3\n1 1 0\n2 1 0\n4 1 0\n7 1 0\n", 0, None),
+        ("qubits: 3\n0 1 0\n1 1 0\n", 1, [([1], [2, 3]), ([2], [1, 3]), ([3], [1, 2])]),
+    ], ids=["wclass-3q", "product"])
+    def test_exhaustive_adds_projection_row(self, capsys, tmp_path, document, code,
+                                            factorizations):
+        path = tmp_path / "in.state"
+        path.write_text(document)
+        got, out, _ = run(capsys, "detect", "--file", str(path), "--json", "--exhaustive")
+        assert got == code
+        report = json.loads(out)
+        assert report["projection_row"] == ["product", "product", "product"]
+        if factorizations is None:
+            assert "factorizations" not in report
+        else:
+            assert report["factorizations"] == [
+                {"block_a": a, "block_b": b} for a, b in factorizations
+            ]
 
     def test_zero_state_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "zero.state"
@@ -287,6 +299,14 @@ class TestProjectCommand:
         doc = json.loads(out)
         assert [p["lost"] for p in doc["projections"]] == [1, 2, 3]
 
+    def test_all_projections_text(self, capsys):
+        code, out, _ = run(capsys, "project", "--catalog", "GHZ", "--n", "3", "--all")
+        assert code == 0
+        blocks = re.split(r"^lost: (\d+)\n", out, flags=re.M)
+        assert blocks[0] == "" and blocks[1::2] == ["1", "2", "3"]
+        for document in blocks[2::2]:
+            np.testing.assert_allclose(loads_state(document).amplitudes, ghz(2).amplitudes)
+
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "project", "--catalog", "GHZ", "--n", "3",
                            "--lose", "9")
@@ -341,6 +361,18 @@ class TestTablesCommand:
         assert survey["|000>"] == ["product", "product", "product"]
         assert survey["|0>|EPR>"] == ["entangled", "product", "product"]
 
+    def test_huge_tolerance_reports_every_mismatch(self, capsys):
+        # At --tol 1e3 every rank test passes: all projections read product.
+        code, out, _ = run(capsys, "tables", "--tol", "1e3")
+        assert code == 4
+        tail = out.splitlines()[-7:]
+        assert all(line.startswith("MISMATCH: ") for line in tail)
+        assert [line.split()[1] for line in tail] == ["survey"] * 3 + ["compare"] * 4
+        assert out.count("MISMATCH") == 7
+        code, out, _ = run(capsys, "tables", "--tol", "1e3", "--json")
+        assert code == 4
+        assert json.loads(out)["mismatches"] == [line[len("MISMATCH: "):] for line in tail]
+
 
 class TestOracleCommand:
     def test_ghz6(self, capsys):
@@ -362,6 +394,19 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "--catalog", "WCLASS_3Q", "--compare")
         assert code == 0
         assert "consistent" in out
+
+    def test_contradiction_exits_four(self, capsys, tmp_path):
+        # At 1e-2 the oracle calls this near-product state a product; the
+        # detector's exact 2-qubit leaf does not.
+        path = tmp_path / "near.state"
+        path.write_text("qubits: 2\n0 1 0\n1 1 0\n2 1 0\n3 1.02 0\n")
+        argv = ("oracle", "--file", str(path), "--compare", "--tol", "1e-2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert "detector:  genuine (CONTRADICTION)" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 4
+        assert json.loads(out)["detector"] == {"verdict": "genuine", "agrees": False}
 
     def test_too_many_qubits(self, capsys):
         code, _, err = run(capsys, "oracle", "--catalog", "GHZ", "--n", "13")
