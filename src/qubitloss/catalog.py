@@ -40,10 +40,7 @@ def w_state(num_qubits: int) -> StateVector:
     """Uniform superposition of the Hamming-weight-1 basis states."""
     if num_qubits < 2:
         raise ValueError("W needs at least two qubits")
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    for q in range(1, num_qubits + 1):
-        amps[1 << (num_qubits - q)] = 1.0 / math.sqrt(num_qubits)
-    return StateVector(num_qubits, amps)
+    return dicke(num_qubits, 1)
 
 
 def dicke(num_qubits: int, excitations: int) -> StateVector:

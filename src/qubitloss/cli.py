@@ -7,7 +7,8 @@ Exit codes
     1  certified not genuinely entangled (oracle: not genuine)
     2  inconclusive
     3  usage or input error (bad file, zero state, unknown catalog key,
-       more qubits than MAX_QUBITS, bad tolerance, any unexpected failure)
+       more qubits than MAX_QUBITS, bad tolerance, a report that could
+       not be written, any unexpected failure)
     4  verification failure (tables mismatch, oracle/detector
        contradiction, selftest failure)
 
@@ -18,6 +19,7 @@ flags and tolerance; wall time is only included when --timing is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -172,51 +174,59 @@ def _certificate_json(cert: Certificate | None):
     }
 
 
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _base_report(args, command: str, source: str, state: StateVector | None) -> dict:
-    report = {
-        "tool": "qubitloss",
-        "version": __version__,
-        "command": command,
-        "input": source,
-        "tolerance": args.tol,
-    }
-    if state is not None:
-        report["num_qubits"] = state.num_qubits
-    return report
-
-
-def cmd_detect(args) -> int:
-    state, source = _load_input(args)
+def _timed(fn, state: StateVector, tol: float):
+    """``fn(state, tol=tol)`` and its wall time in ms."""
     t0 = time.perf_counter()
+    result = fn(state, tol=tol)
+    return result, (time.perf_counter() - t0) * 1e3
+
+
+def _report(args, command: str, source: str, fields: dict, lines: list[str],
+            state: StateVector | None = None, elapsed_ms: float | None = None) -> str:
+    """A command's stdout: its JSON report under --json, else its text lines.
+
+    The JSON header carries the tolerance of a command that takes one and
+    the qubit count of a command on a state.  A timed command's text opens
+    with its input and closes with its time; --timing adds the time as the
+    JSON report's last key.
+    """
+    if args.json:
+        report = {"tool": "qubitloss", "version": __version__, "command": command,
+                  "input": source}
+        if hasattr(args, "tol"):
+            report["tolerance"] = args.tol
+        if state is not None:
+            report["num_qubits"] = state.num_qubits
+        report.update(fields)
+        if elapsed_ms is not None and args.timing:
+            report["wall_time_ms"] = elapsed_ms
+        return json.dumps(report, indent=2) + "\n"
+    if elapsed_ms is not None:
+        lines = [f"input:     {source}", *lines, f"time:      {elapsed_ms:.3f} ms"]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_detect(args) -> tuple[int, str]:
+    state, source = _load_input(args)
     if args.exhaustive:
-        trace = detect_with_trace(state, tol=args.tol)
+        trace, elapsed_ms = _timed(detect_with_trace, state, args.tol)
         verdict, row = trace.verdict, list(trace.table)
     else:
-        verdict = detect(state, tol=args.tol)
+        verdict, elapsed_ms = _timed(detect, state, args.tol)
         row = None
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-    report = _base_report(args, "detect", source, state)
-    report["verdict"] = verdict.kind.value
-    report["witness"] = _partition_json(verdict.witness and verdict.witness.partition)
-    report["certificate"] = _certificate_json(verdict.certificate)
-    report["projection_row"] = row
+    fields = {
+        "verdict": verdict.kind.value,
+        "witness": _partition_json(verdict.witness and verdict.witness.partition),
+        "certificate": _certificate_json(verdict.certificate),
+        "projection_row": row,
+    }
     if args.exhaustive and verdict.kind is VerdictKind.NOT_GENUINE:
-        report["factorizations"] = [
+        fields["factorizations"] = [
             _partition_json(w.partition) for w in all_factorizations(state, tol=args.tol)
         ]
-    if args.timing:
-        report["wall_time_ms"] = elapsed_ms
 
-    lines = [f"input:     {source}", f"verdict:   {verdict.kind.value}"]
+    lines = [f"verdict:   {verdict.kind.value}"]
     if verdict.witness is not None:
         lines.append(f"witness:   separable across {verdict.witness.partition}")
     if verdict.certificate is not None:
@@ -226,67 +236,50 @@ def cmd_detect(args) -> int:
         lines.append("projections: " + ", ".join(
             f"lose {k + 1}: {entry}" for k, entry in enumerate(row)
         ))
-    lines.append(f"time:      {elapsed_ms:.3f} ms")
-    _emit(args, report, lines)
-    return _EXIT_BY_KIND[verdict.kind]
+    text = _report(args, "detect", source, fields, lines, state, elapsed_ms)
+    return _EXIT_BY_KIND[verdict.kind], text
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> tuple[int, str]:
     state, source = _load_input(args)
     if args.all:
         results = all_projections(state)
-        if args.json:
-            doc = {
-                "tool": "qubitloss",
-                "version": __version__,
-                "command": "project",
-                "input": source,
-                "projections": [
-                    {
-                        "lost": r.lost_qubit,
-                        "is_zero": r.is_zero,
-                        "state": json.loads(dumps_state(r.state, "json")),
-                    }
-                    for r in results
-                ],
+        if not args.json:
+            return 0, "".join(
+                f"lost: {r.lost_qubit}\n{dumps_state(r.state, 'text')}" for r in results
+            )
+        projections = [
+            {
+                "lost": r.lost_qubit,
+                "is_zero": r.is_zero,
+                "state": json.loads(dumps_state(r.state, "json")),
             }
-            print(json.dumps(doc, indent=2))
-        else:
-            blocks = []
-            for r in results:
-                blocks.append(f"lost: {r.lost_qubit}")
-                blocks.append(dumps_state(r.state, "text").rstrip("\n"))
-            print("\n".join(blocks))
-        return 0
+            for r in results
+        ]
+        return 0, _report(args, "project", source, {"projections": projections}, [])
     if len(args.lose) == 1:
         out = lose_qubit(state, args.lose[0]).state
     else:
         out = lose_qubit_set(state, args.lose)
-    sys.stdout.write(dumps_state(out, "json" if args.json else "text"))
-    return 0
+    return 0, dumps_state(out, "json" if args.json else "text")
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple[int, str]:
     state, source = _load_input(args)
-    t0 = time.perf_counter()
-    report_m = entanglement_measure(state, tol=args.tol)
+    report_m, elapsed_ms = _timed(entanglement_measure, state, args.tol)
     verdict = report_m.verdict
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-    report = _base_report(args, "measure", source, state)
-    report["verdict"] = verdict.kind.value
-    report["measure"] = {
-        "per_qubit": [v.kind.value for v in report_m.per_qubit],
-        "value": report_m.genuine_count,
-        "exact": report_m.count_is_exact,
-        "is_mes": report_m.is_mes,
+    fields = {
+        "verdict": verdict.kind.value,
+        "measure": {
+            "per_qubit": [v.kind.value for v in report_m.per_qubit],
+            "value": report_m.genuine_count,
+            "exact": report_m.count_is_exact,
+            "is_mes": report_m.is_mes,
+        },
     }
-    if args.timing:
-        report["wall_time_ms"] = elapsed_ms
-
     qualifier = "" if report_m.count_is_exact else " (certified lower bound)"
     lines = [
-        f"input:     {source}",
         f"verdict:   {verdict.kind.value}",
         f"measure:   {report_m.genuine_count} of {state.num_qubits} projections"
         f" certified genuine{qualifier}",
@@ -294,9 +287,8 @@ def cmd_measure(args) -> int:
     ]
     for k, v in enumerate(report_m.per_qubit, start=1):
         lines.append(f"  lose {k}: {v.kind.value}")
-    lines.append(f"time:      {elapsed_ms:.3f} ms")
-    _emit(args, report, lines)
-    return _EXIT_BY_KIND[verdict.kind]
+    text = _report(args, "measure", source, fields, lines, state, elapsed_ms)
+    return _EXIT_BY_KIND[verdict.kind], text
 
 
 # Expected classifications for the built-in survey tables.
@@ -312,18 +304,17 @@ _SURVEY_STATES = (
 )
 
 _COMPARE_STATES = (
-    # name, builder, reductions separable?, projections scale-equal to own 2q family?
+    # survey name, builder, reductions separable?, projections scale-equal to own 2q family?
     ("GHZ(3)", ghz, True, True),
     ("W(3)", w_state, False, False),
 )
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple[int, str]:
     mismatches = []
-    survey_rows = []
+    survey = {}
     for name, build, expected in _SURVEY_STATES:
-        row = detect_with_trace(build(), tol=args.tol).table
-        survey_rows.append((name, row))
+        row = survey[name] = detect_with_trace(build(), tol=args.tol).table
         if row != expected:
             mismatches.append(f"survey {name}: got {row}, expected {expected}")
 
@@ -333,7 +324,7 @@ def cmd_tables(args) -> int:
         keeps = ((1, 2), (1, 3), (2, 3))
         separable = [ppt_2qubit(partial_trace(state, keep), tol=args.tol) for keep in keeps]
         reference = family(2)
-        entangled = [e == "entangled" for e in detect_with_trace(state, tol=args.tol).table]
+        entangled = [e == "entangled" for e in survey[name]]
         preserved = [
             equal_up_to_scale(p.state, reference, args.tol) for p in all_projections(state)
         ]
@@ -345,24 +336,23 @@ def cmd_tables(args) -> int:
         if any(p != want_preserved for p in preserved):
             mismatches.append(f"compare {name}: shape preserved {preserved}")
 
-    report = _base_report(args, "tables", "builtin", None)
-    report["survey"] = [
-        {"state": name, "row": list(row)} for name, row in survey_rows
-    ]
-    report["comparison"] = [
-        {
-            "state": name,
-            "reductions_separable": sep,
-            "projections_entangled": ent,
-            "projection_scale_equal": pres,
-        }
-        for name, sep, ent, pres in compare_rows
-    ]
-    report["mismatches"] = mismatches
+    fields = {
+        "survey": [{"state": name, "row": list(row)} for name, row in survey.items()],
+        "comparison": [
+            {
+                "state": name,
+                "reductions_separable": sep,
+                "projections_entangled": ent,
+                "projection_scale_equal": pres,
+            }
+            for name, sep, ent, pres in compare_rows
+        ],
+        "mismatches": mismatches,
+    }
 
     lines = ["Projection survey (classification by lost qubit)"]
     lines.append(f"{'state':<10} {'lose 1':<12} {'lose 2':<12} {'lose 3':<12}")
-    for name, row in survey_rows:
+    for name, row in survey.items():
         lines.append(f"{name:<10} {row[0]:<12} {row[1]:<12} {row[2]:<12}")
     lines.append("")
     lines.append("Two-qubit reductions (partial trace + PPT) vs projections")
@@ -375,50 +365,36 @@ def cmd_tables(args) -> int:
     if mismatches:
         lines.append("")
         lines.extend(f"MISMATCH: {m}" for m in mismatches)
-    _emit(args, report, lines)
-    return EXIT_MISMATCH if mismatches else 0
+    return EXIT_MISMATCH if mismatches else 0, _report(args, "tables", "builtin", fields, lines)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[int, str]:
     state, source = _load_input(args)
-    t0 = time.perf_counter()
-    cut = find_product_cut(state, tol=args.tol)
+    cut, elapsed_ms = _timed(find_product_cut, state, args.tol)
     genuine = cut is None
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-    report = _base_report(args, "oracle", source, state)
-    report["oracle"] = {
-        "genuine": genuine,
-        "product_cut": _partition_json(cut),
-    }
-    lines = [f"input:     {source}"]
-    lines.append(
+    fields = {"oracle": {"genuine": genuine, "product_cut": _partition_json(cut)}}
+    lines = [
         "oracle:    genuinely entangled (all bipartition unfoldings have rank >= 2)"
         if genuine
         else f"oracle:    not genuinely entangled (rank 1 across {cut})"
-    )
-
-    contradiction = False
+    ]
+    code = EXIT_GENUINE if genuine else EXIT_NOT_GENUINE
     if args.compare:
         verdict = detect(state, tol=args.tol)
         agrees = not (
             (verdict.kind is VerdictKind.GENUINE and not genuine)
             or (verdict.kind is VerdictKind.NOT_GENUINE and genuine)
         )
-        contradiction = not agrees
-        report["detector"] = {"verdict": verdict.kind.value, "agrees": agrees}
+        if not agrees:
+            code = EXIT_MISMATCH
+        fields["detector"] = {"verdict": verdict.kind.value, "agrees": agrees}
         lines.append(f"detector:  {verdict.kind.value}"
                      f" ({'consistent' if agrees else 'CONTRADICTION'})")
-    if args.timing:
-        report["wall_time_ms"] = elapsed_ms
-    lines.append(f"time:      {elapsed_ms:.3f} ms")
-    _emit(args, report, lines)
-    if contradiction:
-        return EXIT_MISMATCH
-    return EXIT_GENUINE if genuine else EXIT_NOT_GENUINE
+    return code, _report(args, "oracle", source, fields, lines, state, elapsed_ms)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[int, str]:
     rng = np.random.default_rng(args.seed)
     failures = []
     for _ in range(args.trials):
@@ -440,16 +416,30 @@ def cmd_selftest(args) -> int:
         ):
             failures.append("detector and oracle disagree on a dense state")
 
-    report = _base_report(args, "selftest", f"seed:{args.seed}", None)
-    report["trials"] = args.trials
-    report["failures"] = failures
+    fields = {"trials": args.trials, "failures": failures}
     lines = [
         f"selftest:  {args.trials} trials, seed {args.seed}",
         f"result:    {'ok' if not failures else f'{len(failures)} failure(s)'}",
     ]
     lines.extend(f"  {f}" for f in failures)
-    _emit(args, report, lines)
-    return EXIT_MISMATCH if failures else 0
+    text = _report(args, "selftest", f"seed:{args.seed}", fields, lines)
+    return EXIT_MISMATCH if failures else 0, text
+
+
+def _write(stream, text: str) -> None:
+    """Write and flush; a stream that fails is closed and the error re-raised.
+
+    Text that could not be written stays buffered, and the interpreter's
+    flush at exit would fail on it again and turn exit 3 into exit 120;
+    closing drops it.
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            stream.close()
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,15 +515,16 @@ def main(argv=None) -> int:
         # An overflowing projection raises ValueError below; numpy's own
         # overflow warning would add lines to the one-line error.
         with np.errstate(over="ignore"):
-            return args.func(args)
+            code, text = args.func(args)
+        _write(sys.stdout, text)
+        return code
     except (ValueError, OSError) as exc:
-        print(f"qubitloss: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = str(exc)
     except Exception as exc:  # exits 0-2 claim a verdict; never let a crash claim one
-        message = " ".join(str(exc).split())
-        print(f"qubitloss: error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_ERROR
-
+        message = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+    with contextlib.suppress(OSError):  # with stderr gone too, exit 3 is the report
+        _write(sys.stderr, f"qubitloss: error: {message}\n")
+    return EXIT_ERROR
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,9 +3,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +448,42 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "1")
         assert code == 0
         assert "ok" in out
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class TestClosedOutput:
+    """A report that cannot be written is an error (exit 3), never a verdict."""
+
+    @pytest.mark.parametrize("argv, python_flags", [
+        (("detect", "--catalog", "GHZ", "--n", "5"), ()),
+        (("detect", "--catalog", "GHZ", "--n", "5"), ("-u",)),
+        (("measure", "--catalog", "GHZ", "--n", "5"), ()),
+        (("oracle", "--catalog", "GHZ", "--n", "5"), ()),
+        (("project", "--catalog", "GHZ", "--n", "3", "--all"), ()),
+        (("tables",), ()),
+        (("selftest", "--trials", "1"), ()),
+    ], ids=["detect", "detect-unbuffered", "measure", "oracle", "project", "tables",
+            "selftest"])
+    @pytest.mark.parametrize("stderr_closed", [True, False], ids=["both", "stdout"])
+    def test_exits_three(self, argv, python_flags, stderr_closed):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = _SRC
+        r, w = os.pipe()
+        os.close(r)  # every write to w now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, *python_flags, "-m", "qubitloss.cli", *argv],
+                stdout=w, stderr=w if stderr_closed else subprocess.PIPE,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 3
+        if not stderr_closed:
+            assert proc.stderr.count(b"\n") == 1
+            assert proc.stderr.startswith(b"qubitloss: error: ")
 
 
 class TestMisc:
