@@ -34,6 +34,7 @@ from .detect import (
     Certificate,
     MeasureReport,
     SufficientCheck,
+    SweepReport,
     TraceReport,
     Verdict,
     VerdictKind,
@@ -92,6 +93,7 @@ __all__ = [
     "ProjectionResult",
     "StateVector",
     "SufficientCheck",
+    "SweepReport",
     "TraceReport",
     "Verdict",
     "VerdictKind",

@@ -55,38 +55,6 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Per-projection verdicts and the count of certified-genuine ones.
-
-    ``genuine_count`` is exact when the projections fall in the exact
-    regime (n - 1 <= 4) and is otherwise a certified lower bound.
-    ``is_mes`` flags states all of whose projections are certified.
-    ``verdict`` is the state's own verdict, the one ``detect`` returns,
-    found by the same walk; the repr shows the per-projection fields only.
-    """
-
-    per_qubit: Tuple[Verdict, ...]
-    genuine_count: int
-    count_is_exact: bool
-    is_mes: bool
-    verdict: Verdict = field(repr=False)
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    verdict: Verdict
-    table: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SufficientCheck:
-    """Outcome of the three-qubit shortcut on its projections."""
-
-    per_projection_entangled: Tuple[bool, bool, bool]
-    certified: bool
-
-
 _EXACT_MAX = max(CANDIDATE_SPLITS)
 
 # The verdict of a child whose projection vanished (a product).
@@ -100,6 +68,48 @@ _ROW_ENTRY = {
     VerdictKind.NOT_GENUINE: "product",
     VerdictKind.INCONCLUSIVE: "inconclusive",
 }
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """The verdicts on a state's single-qubit-loss projections, in qubit
+    order (``_VANISHED`` where one vanished), and the state's own verdict,
+    the one ``detect`` returns, from the same walk; the repr shows
+    ``per_qubit`` only.  ``genuine_count`` is exact in the exact regime
+    (n - 1 <= 4) and otherwise a certified lower bound; ``table`` spells
+    each verdict "entangled", "product", "zero" or "inconclusive".
+    """
+
+    per_qubit: Tuple[Verdict, ...]
+    verdict: Verdict = field(repr=False)
+
+    @property
+    def per_projection_entangled(self) -> Tuple[bool, ...]:
+        return tuple(v.kind is VerdictKind.GENUINE for v in self.per_qubit)
+
+    @property
+    def genuine_count(self) -> int:
+        return sum(self.per_projection_entangled)
+
+    @property
+    def count_is_exact(self) -> bool:
+        return len(self.per_qubit) - 1 <= _EXACT_MAX
+
+    @property
+    def is_mes(self) -> bool:
+        return self.genuine_count == len(self.per_qubit)
+
+    @property
+    def certified(self) -> bool:
+        return self.genuine_count >= 2
+
+    @property
+    def table(self) -> Tuple[str, ...]:
+        return tuple("zero" if v is _VANISHED else _ROW_ENTRY[v.kind] for v in self.per_qubit)
+
+
+# The report's names as the measure, the trace and the 3-qubit shortcut.
+MeasureReport = TraceReport = SufficientCheck = SweepReport
 
 
 def _relabel_witness(
@@ -172,14 +182,14 @@ def _walk(state: StateVector, labels: Tuple[int, ...], tol: float, cache: _Cache
     return verdict
 
 
-def _sweep(state: StateVector, tol: float) -> Tuple[Verdict, Tuple[Verdict, ...]]:
-    """The state's verdict and, in qubit order, the verdicts on all its
-    single-qubit-loss projections (``_VANISHED`` where one vanished), all
-    from one cache, so the state's walk re-projects none of its children."""
+def _sweep(state: StateVector, tol: float) -> SweepReport:
+    """The verdicts on all the state's single-qubit-loss projections and
+    its own verdict, all from one cache, so the state's walk re-projects
+    none of its children."""
     labels = tuple(range(1, state.num_qubits + 1))
     cache: _Cache = {}
     row = tuple(_child(state, labels, pos, tol, cache) for pos in range(1, len(labels) + 1))
-    return _walk(state, labels, tol, cache), row
+    return SweepReport(per_qubit=row, verdict=_walk(state, labels, tol, cache))
 
 
 def _check_input(state: StateVector, min_qubits: int, what: str, tol: float) -> None:
@@ -201,9 +211,7 @@ def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
     return _walk(state, tuple(range(1, state.num_qubits + 1)), tol, {})
 
 
-def entanglement_measure(
-    state: StateVector, tol: float = DEFAULT_TOL
-) -> MeasureReport:
+def entanglement_measure(state: StateVector, tol: float = DEFAULT_TOL) -> SweepReport:
     """Count how many single-qubit-loss projections are certified genuine.
 
     All n projections are examined, each decided as ``detect`` would
@@ -211,38 +219,23 @@ def entanglement_measure(
     the state's own verdict.
     """
     _check_input(state, 3, "the measure", tol)
-    verdict, per_qubit = _sweep(state, tol)
-    count = sum(v.kind is VerdictKind.GENUINE for v in per_qubit)
-    return MeasureReport(
-        per_qubit=per_qubit,
-        genuine_count=count,
-        count_is_exact=(state.num_qubits - 1) <= _EXACT_MAX,
-        is_mes=count == state.num_qubits,
-        verdict=verdict,
-    )
+    return _sweep(state, tol)
 
 
-def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> TraceReport:
-    """Verdict plus a per-lost-qubit classification row.
-
-    Row entries are "entangled", "product", "zero" or (for projections
-    of six or more qubits that certify nothing) "inconclusive".
-    """
+def detect_with_trace(state: StateVector, tol: float = DEFAULT_TOL) -> SweepReport:
+    """Verdict plus a per-lost-qubit classification row (``table``)."""
     _check_input(state, 2, "detection", tol)
-    verdict, children = _sweep(state, tol)
-    row = tuple("zero" if v is _VANISHED else _ROW_ENTRY[v.kind] for v in children)
-    return TraceReport(verdict=verdict, table=row)
+    return _sweep(state, tol)
 
 
-def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SufficientCheck:
+def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SweepReport:
     """Certify a three-qubit state genuine from two entangled projections,
     each classified by the walker's root sweep (a vanished one is a
     product).  Sufficient, not necessary: ``wclass_3q()`` certifies nothing."""
     if state.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.num_qubits} qubits")
     check_tolerance(tol)
-    flags = tuple(v.kind is VerdictKind.GENUINE for v in _sweep(state, tol)[1])
-    return SufficientCheck(per_projection_entangled=flags, certified=sum(flags) >= 2)
+    return _sweep(state, tol)
 
 
 def _preorder(certificate: Certificate) -> List[Tuple[Certificate, int, bool]]:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, check_tolerance
+from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
 from .states import Bipartition, StateVector, all_bipartitions, unfold
 
 MAX_SCAN_QUBITS = 12
@@ -26,7 +26,11 @@ MAX_SCAN_QUBITS = 12
 def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
-    sigma = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
+    m = np.asarray(matrix, dtype=complex)
+    # Scaled exactly so that no singular value overflows or underflows; the
+    # parts, unlike the moduli, have a largest that cannot overflow.
+    largest = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    sigma = np.linalg.svd(m * unit_scale(largest), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))

@@ -59,8 +59,6 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
 
 def all_projections(state: StateVector) -> List[ProjectionResult]:
     """The n single-qubit-loss projections, in qubit order."""
-    if state.num_qubits < 2:
-        raise ValueError("cannot lose a qubit from a single-qubit state")
     return [lose_qubit(state, k) for k in range(1, state.num_qubits + 1)]
 
 

@@ -65,8 +65,6 @@ def dump_state(state: StateVector, path: str | os.PathLike, fmt: str = "text") -
 def _loads_text(text: str) -> StateVector:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("empty state document")
     header = lines[0].split(":")
     if len(header) != 2 or header[0].strip() != "qubits":
         raise ValueError(f"expected 'qubits: n' header, got {lines[0]!r}")

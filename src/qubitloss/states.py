@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, pair_proportional
+from .proportional import DEFAULT_TOL, pair_proportional, unit_scale
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -84,14 +84,18 @@ class StateVector:
         """Amplitude of the basis state given as a bit string or sequence."""
         return complex(self.amplitudes[basis_index(bits, self.num_qubits)])
 
+    # Both scale by ``unit_scale`` first, which is exact, so that squaring
+    # neither overflows for huge amplitudes nor underflows for tiny ones.
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        scale = unit_scale(self._largest())
+        return float(np.linalg.norm(self.amplitudes * scale)) / scale
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
+        scaled = self.amplitudes * unit_scale(self._largest())
+        n = float(np.linalg.norm(scaled))
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return StateVector(self.num_qubits, self.amplitudes / n)
+        return StateVector(self.num_qubits, scaled / n)
 
     def is_zero(self) -> bool:
         return self._largest() == 0.0

@@ -131,6 +131,10 @@ class TestFourQubits:
         assert verdict.witness.partition.block_a == (1,)
         assert len(all_factorizations(s)) == 7
 
+    def test_five_qubits_are_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^exact tests cover 2\.\.4 qubits, got 5$"):
+            detect_base(ghz(5))
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -179,6 +183,11 @@ class TestSufficientThreeQubit:
 
     def test_basis_state_not_certified(self):
         check = sufficient_3q(basis_state("000"))
+        assert check.per_projection_entangled == (False, False, False)
+        assert not check.certified
+
+    def test_zero_state_not_certified(self):
+        check = sufficient_3q(StateVector(3, np.zeros(8)))
         assert check.per_projection_entangled == (False, False, False)
         assert not check.certified
 

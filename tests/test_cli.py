@@ -97,18 +97,21 @@ class TestDetectCommand:
         assert code == 2
         assert json.loads(out)["verdict"] == "inconclusive"
 
-    @pytest.mark.parametrize("document, code, factorizations", [
+    @pytest.mark.parametrize("source, code, factorizations", [
         ("qubits: 3\n1 1 0\n2 1 0\n4 1 0\n7 1 0\n", 0, None),
         ("qubits: 3\n0 1 0\n1 1 0\n", 1, [([1], [2, 3]), ([2], [1, 3]), ([3], [1, 2])]),
-    ], ids=["wclass-3q", "product"])
-    def test_exhaustive_adds_projection_row(self, capsys, tmp_path, document, code,
+        (("--catalog", "GHZ", "--n", "2"), 0, None),  # each projection is a lone qubit
+    ], ids=["wclass-3q", "product", "ghz-2"])
+    def test_exhaustive_adds_projection_row(self, capsys, tmp_path, source, code,
                                             factorizations):
-        path = tmp_path / "in.state"
-        path.write_text(document)
-        got, out, _ = run(capsys, "detect", "--file", str(path), "--json", "--exhaustive")
+        if isinstance(source, str):
+            path = tmp_path / "in.state"
+            path.write_text(source)
+            source = ("--file", str(path))
+        got, out, _ = run(capsys, "detect", *source, "--json", "--exhaustive")
         assert got == code
         report = json.loads(out)
-        assert report["projection_row"] == ["product", "product", "product"]
+        assert report["projection_row"] == ["product"] * report["num_qubits"]
         if factorizations is None:
             assert "factorizations" not in report
         else:
@@ -235,14 +238,33 @@ class TestInputGuards:
         (("project", "--catalog", "GHZ", "--n", "4", "--lose", "1,1"), "repeated"),
         (("project", "--catalog", "GHZ", "--n", "4", "--lose", ",,1"), "K[,K2,...]"),
         (("selftest", "--seed", "-1"), "--seed"),
+        (("selftest", "--trials", "abc"), "expected a positive trial count, got 'abc'"),
+        (("detect", "--catalog", "GHZ", "--n", "1"), "GHZ needs at least two qubits"),
+        (("detect", "--catalog", "W", "--n", "1"), "W needs at least two qubits"),
+        (("detect", "--catalog", "DICKE(5)", "--n", "3"), "invalid Dicke parameters n=3, k=5"),
+        (("detect", "--catalog", "DICKE(1)"), "DICKE(k) needs an explicit qubit count"),
     ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number",
-            "lose-repeated", "lose-empty-entry", "seed-negative"])
+            "lose-repeated", "lose-empty-entry", "seed-negative", "trials-not-a-number",
+            "ghz-1", "w-1", "dicke-k-above-n", "dicke-without-n"])
     def test_argument_value_exits_three(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, document, message", [
+        ("oracle", "qubits: 1\n0 1 0\n", "need at least two qubits"),
+        ("detect", '{"qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]}',
+         "amplitude 0 is not a [re, im] pair"),
+    ], ids=["oracle-one-qubit", "json-triple"])
+    def test_state_file_exits_three(self, capsys, tmp_path, command, document, message):
+        path = tmp_path / "in.state"
+        path.write_text(document)
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"qubitloss: error: {message}\n"
 
     def test_unexpected_exception_exits_three_in_one_line(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -448,6 +470,12 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "1")
         assert code == 0
         assert "ok" in out
+
+    def test_zero_tolerance_reports_failures(self, capsys):
+        # At tol 0 rounding makes exact product tests fail on random products.
+        code, out, _ = run(capsys, "selftest", "--tol", "0", "--trials", "5")
+        assert code == 4
+        assert any(line.startswith("  ") for line in out.splitlines())
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,13 +1,17 @@
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from qubitloss import (
     Certificate,
+    MeasureReport,
     StateVector,
+    SufficientCheck,
+    SweepReport,
+    TraceReport,
     VerdictKind,
     all_projections,
     basis_state,
@@ -224,6 +228,14 @@ class TestMeasure:
         for s in states:
             assert entanglement_measure(s).verdict == detect(s)
             assert detect_with_trace(s).verdict == detect(s)
+
+    def test_one_report_for_the_root_sweep(self):
+        assert MeasureReport is TraceReport is SufficientCheck is SweepReport
+        assert [f.name for f in fields(SweepReport)] == ["per_qubit", "verdict"]
+        report = entanglement_measure(ghz(5))
+        assert detect_with_trace(ghz(5)) == report
+        assert repr(report).startswith("SweepReport(per_qubit=(")
+        assert "verdict=" not in repr(report)
 
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ from qubitloss import (
     basis_state,
     coefficient_groups,
     detect_base,
+    dumps_state,
     find_product_cut,
     ghz,
+    load_state,
     numerical_rank,
     oracle_genuine,
     partial_trace,
@@ -18,6 +20,7 @@ from qubitloss import (
     unfold,
     w_state,
 )
+from qubitloss.cli import main
 from helpers import random_bipartition_blocks, random_product
 
 
@@ -105,6 +108,18 @@ class TestOracle:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             oracle_genuine(StateVector(2, [0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("largest", [1e308, 1e-310])
+    def test_extreme_scales(self, capsys, tmp_path, largest, tol):
+        # At 1e308 the largest singular value overflowed: the scan called
+        # this genuinely entangled state a product across {1}|{2,...,6}.
+        s = random_state(np.random.default_rng(0), 6)
+        path = tmp_path / "scaled.state"
+        path.write_text(dumps_state(StateVector(6, s.amplitudes / np.abs(s.amplitudes).max() * largest)))
+        assert find_product_cut(load_state(path), tol) is None
+        assert main(["oracle", "--file", str(path), "--tol", str(tol)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPartialTrace:

@@ -20,6 +20,7 @@ from qubitloss import (
     loads_state,
     lose_qubit,
     named_state,
+    partial_trace,
     phi4,
     product_state,
     random_state,
@@ -164,6 +165,15 @@ class TestNorm:
     def test_normalize_zero_raises(self):
         with pytest.raises(ValueError, match="zero"):
             StateVector(1, [0, 0]).normalized()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_extreme_scales(self, scale):
+        # Squared amplitudes overflowed at 1e200 (an infinite norm, an
+        # all-zero normalized state) and underflowed at 1e-200 ("zero state").
+        s = StateVector(3, ghz(3).amplitudes * scale)
+        assert s.norm() == pytest.approx(scale, rel=1e-12)
+        np.testing.assert_allclose(s.normalized().amplitudes, ghz(3).amplitudes, rtol=0, atol=1e-15)
+        assert np.trace(partial_trace(s, (1,))) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestEqualUpToScale:
