@@ -50,7 +50,7 @@ from .states import (
     random_product_state,
     random_state,
 )
-from .stateio import dumps_state, load_state
+from .stateio import dumps_state, load_state, state_document
 
 EXIT_GENUINE = 0
 EXIT_NOT_GENUINE = 1
@@ -109,6 +109,9 @@ def _int_at_least(low: int, what: str):
 
 
 _FLAGS = {
+    "--file": dict(metavar="PATH", help="state file (text or JSON format)"),
+    "--catalog": dict(metavar="NAME", help=f"catalog state; one of {', '.join(CATALOG_KEYS)}"),
+    "--n": dict(type=int, metavar="N", help="qubit count for GHZ/W/DICKE(k)"),
     "--tol": dict(
         type=_tolerance, default=DEFAULT_TOL, metavar="REL",
         help="relative tolerance for all proportionality/rank tests (default %(default)g)",
@@ -122,20 +125,9 @@ _FLAGS = {
 
 
 def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register the named report flags; each command takes only those it reads."""
+    """Register the named flags; each command takes only those it reads."""
     for name in names:
         parser.add_argument(name, **_FLAGS[name])
-
-
-def _input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--file", metavar="PATH", help="state file (text or JSON format)")
-    parser.add_argument(
-        "--catalog", metavar="NAME",
-        help=f"catalog state; one of {', '.join(CATALOG_KEYS)}",
-    )
-    parser.add_argument(
-        "--n", type=int, metavar="N", help="qubit count for GHZ/W/DICKE(k)"
-    )
 
 
 def _load_input(args) -> tuple[StateVector, str]:
@@ -252,7 +244,7 @@ def cmd_project(args) -> tuple[int, str]:
             {
                 "lost": r.lost_qubit,
                 "is_zero": r.is_zero,
-                "state": json.loads(dumps_state(r.state, "json")),
+                "state": state_document(r.state),
             }
             for r in results
         ]
@@ -454,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("detect", help="classify a state, emitting a certificate")
-    _input_flags(p)
-    _flags(p, "--tol", "--json", "--timing")
+    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
     p.add_argument(
         "--exhaustive", action="store_true",
         help="explore every projection and report the per-projection row",
@@ -463,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("project", help="apply the qubit-loss projection")
-    _input_flags(p)
-    _flags(p, "--json")
+    _flags(p, "--file", "--catalog", "--n", "--json")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument(
         "--lose", type=_qubit_list, metavar="K[,K2,...]", help="qubit(s) to lose, 1-based"
@@ -473,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("measure", help="count certified-genuine projections")
-    _input_flags(p)
-    _flags(p, "--tol", "--json", "--timing")
+    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser(
@@ -484,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("oracle", help="brute-force bipartition-rank ground truth")
-    _input_flags(p)
-    _flags(p, "--tol", "--json", "--timing")
+    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
     p.add_argument(
         "--compare", action="store_true", help="also run the detector and diff verdicts"
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
+from .proportional import DEFAULT_TOL, check_tolerance, largest_modulus, unit_scale
 from .states import Bipartition, StateVector, all_bipartitions, unfold
 
 MAX_SCAN_QUBITS = 12
@@ -27,10 +27,8 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
     m = np.asarray(matrix, dtype=complex)
-    # Scaled exactly so that no singular value overflows or underflows; the
-    # parts, unlike the moduli, have a largest that cannot overflow.
-    largest = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
-    sigma = np.linalg.svd(m * unit_scale(largest), compute_uv=False)
+    # Scaled exactly so that no singular value overflows or underflows.
+    sigma = np.linalg.svd(m * unit_scale(largest_modulus(m)), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))
@@ -84,7 +82,7 @@ def ppt_2qubit(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    scale = max(1.0, float(np.abs(rho).max()))
+    scale = max(1.0, largest_modulus(rho))
     if float(np.abs(rho - rho.conj().T).max()) > 1e-10 * scale:
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))

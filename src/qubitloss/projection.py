@@ -14,12 +14,13 @@ a projection may legitimately vanish, which callers treat as "product".
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List
 
 import numpy as np
 
+from .proportional import largest_modulus
 from .states import StateVector
 
 # A projection counts as vanished when its largest amplitude is at most this
@@ -43,10 +44,10 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     ell = 1 << (n - k)
     out = state.amplitudes.reshape(1 << (k - 1), 2, ell).sum(axis=1).reshape(-1)
-    out_max = float(np.abs(out).max())
-    # The sums can overflow.  A modulus can overflow while both parts stay
-    # finite, and such a state is valid, so only then are the parts checked.
-    if not math.isfinite(out_max) and not np.isfinite(out.view(np.float64)).all():
+    out_max = largest_modulus(out)
+    # An overflowing sum reads as the float maximum, as does a valid amplitude
+    # whose modulus alone overflows; only then are the parts checked.
+    if out_max == sys.float_info.max and not np.isfinite(out.view(np.float64)).all():
         raise ValueError(
             f"losing qubit {k} gives amplitudes that are not finite (the sums overflow)"
         )

@@ -29,16 +29,21 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def largest_modulus(values) -> float:
+    """Largest modulus of the entries, 0.0 for none; a modulus that overflows
+    while both its parts stay finite counts as the largest finite float."""
+    return min(float(np.abs(values).max(initial=0.0)), sys.float_info.max)
+
+
 def unit_scale(largest: float) -> float:
-    """The power of two 2^-e, with e the exponent of ``largest``.
+    """The power of two 2^-e, with e the exponent of a ``largest_modulus``.
 
     Scaling by it is exact and puts a modulus of ``largest`` in [0.5, 1),
     so products of scaled entries neither overflow for huge vectors nor
-    underflow for tiny ones.  The clamps keep e finite when ``largest``
-    overflows and 2^-e finite when it is subnormal; zero gives 1.
+    underflow for tiny ones.  The clamp keeps 2^-e finite when ``largest``
+    is subnormal; zero gives 1.
     """
-    exponent = math.frexp(min(largest, sys.float_info.max))[1]
-    return math.ldexp(1.0, -max(exponent, -1023))
+    return math.ldexp(1.0, -max(math.frexp(largest)[1], -1023))
 
 
 def max_cross_minor(u, v) -> float:
@@ -73,8 +78,8 @@ def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
     """
     check_tolerance(tol)
     u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
-    u, v = (x * unit_scale(float(np.abs(x).max(initial=0.0))) for x in (u, v))
-    scale = float(np.abs(u).max(initial=0.0)) * float(np.abs(v).max(initial=0.0))
+    u, v = (x * unit_scale(largest_modulus(x)) for x in (u, v))
+    scale = largest_modulus(u) * largest_modulus(v)
     return max_cross_minor(u, v) <= tol * scale
 
 
@@ -90,7 +95,7 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
     d = vs[0].size
     if any(v.size != d for v in vs):
         raise ValueError("family vectors must all have the same length")
-    maxes = [float(np.abs(v).max(initial=0.0)) for v in vs]
+    maxes = [largest_modulus(v) for v in vs]
     pivot = int(np.argmax(maxes))
     if maxes[pivot] == 0.0:
         return True

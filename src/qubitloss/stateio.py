@@ -49,12 +49,16 @@ def dumps_state(state: StateVector, fmt: str = "text") -> str:
                 lines.append(f"{i} {a.real:.17g} {a.imag:.17g}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "qubits": state.num_qubits,
-            "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
-        }
-        return json.dumps(doc) + "\n"
+        return json.dumps(state_document(state)) + "\n"
     raise ValueError(f"unknown state format {fmt!r}")
+
+
+def state_document(state: StateVector) -> dict:
+    """The JSON format's document for ``state``, before serialization."""
+    return {
+        "qubits": state.num_qubits,
+        "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
+    }
 
 
 def dump_state(state: StateVector, path: str | os.PathLike, fmt: str = "text") -> None:

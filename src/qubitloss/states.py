@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, pair_proportional, unit_scale
+from .proportional import DEFAULT_TOL, largest_modulus, pair_proportional, unit_scale
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -53,7 +53,7 @@ class StateVector:
     @classmethod
     def _adopt(cls, num_qubits: int, amps: np.ndarray, max_abs: float) -> "StateVector":
         """Wrap a fresh complex array of 2^n finite amplitudes and its
-        largest modulus, with no copy and no checks; the array becomes
+        ``largest_modulus``, with no copy and no checks; the array becomes
         read-only and must not be shared."""
         self = object.__new__(cls)
         amps.flags.writeable = False
@@ -66,9 +66,9 @@ class StateVector:
         raise AttributeError("StateVector is immutable")
 
     def _largest(self) -> float:
-        """Largest amplitude modulus, computed at most once per state."""
+        """``largest_modulus`` of the amplitudes, computed at most once per state."""
         if self._max_abs is None:
-            object.__setattr__(self, "_max_abs", float(np.abs(self.amplitudes).max()))
+            object.__setattr__(self, "_max_abs", largest_modulus(self.amplitudes))
         return self._max_abs
 
     @classmethod

@@ -59,6 +59,13 @@ def random_dense(rng: np.random.Generator, n: int) -> StateVector:
     return random_state(rng, n)
 
 
+def with_overflowing_moduli(state: StateVector) -> StateVector:
+    """``state`` with every nonzero amplitude set to 1.5e308(1+i): both parts
+    are finite, the modulus is not."""
+    amps = np.where(state.amplitudes != 0, 1.5e308 * (1 + 1j), 0)
+    return StateVector(state.num_qubits, amps)
+
+
 def project_by_bits(state: StateVector, k: int) -> np.ndarray:
     """Qubit-loss projection recomputed from bit strings.
 

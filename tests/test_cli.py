@@ -21,13 +21,17 @@ import qubitloss.stateio
 from qubitloss import (
     MAX_QUBITS,
     StateVector,
+    __version__,
     basis_state,
+    dicke,
     dumps_state,
     ghz,
     loads_state,
     product_state,
+    w_state,
 )
 from qubitloss.cli import main
+from helpers import with_overflowing_moduli
 
 
 def run(capsys, *argv):
@@ -156,6 +160,24 @@ class TestDetectCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("family", [ghz, w_state])
+    def test_overflowing_moduli_decide_as_at_scale_one(self, capsys, tmp_path, family):
+        path = tmp_path / "huge.state"
+        path.write_text(dumps_state(with_overflowing_moduli(family(5))))
+        assert run(capsys, "detect", "--file", str(path))[0] == 0
+        code, out, err = run(capsys, "oracle", "--compare", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "detector:  genuine (consistent)" in out
+
+    def test_overflowing_sums_exit_three_in_one_line(self, capsys, tmp_path):
+        # Once no projection vanishes, the walk reaches sums that overflow.
+        path = tmp_path / "huge.state"
+        path.write_text(dumps_state(with_overflowing_moduli(dicke(6, 2))))
+        code, out, err = run(capsys, "detect", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert "the sums overflow" in err
 
 
 class _NoAllocation:
@@ -518,6 +540,11 @@ class TestMisc:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
+
+    def test_one_version(self, capsys):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == __version__
+        assert run(capsys, "--version")[1] == f"qubitloss {__version__}\n"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

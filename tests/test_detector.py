@@ -36,6 +36,7 @@ from helpers import (
     random_partition_blocks,
     random_product,
     reference_detect,
+    with_overflowing_moduli,
 )
 
 
@@ -240,6 +241,17 @@ class TestMeasure:
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):
             entanglement_measure(ghz(2))
+
+    @pytest.mark.parametrize("family", [ghz, w_state])
+    def test_overflowing_moduli_decide_as_at_scale_one(self, family):
+        # The zero rule once compared every projection with an infinite
+        # largest modulus, so all of them vanished and the walk gave up.
+        state = with_overflowing_moduli(family(5))
+        with np.errstate(over="ignore"):
+            verdict = detect(state)
+            assert verdict.kind is VerdictKind.GENUINE
+            assert replay_certificate(state, verdict.certificate)
+            assert entanglement_measure(state).genuine_count == 5
 
 
 class TestTrace:

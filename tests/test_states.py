@@ -12,16 +12,20 @@ from qubitloss import (
     basis_state,
     cluster4,
     dicke,
+    dump_state,
     dumps_state,
     equal_up_to_scale,
     example3_4q,
+    family_proportional,
     ghz,
     load_state,
     loads_state,
     lose_qubit,
+    max_cross_minor,
     named_state,
     partial_trace,
     phi4,
+    ppt_2qubit,
     product_state,
     random_state,
     tensor,
@@ -72,6 +76,14 @@ class TestConstruction:
         assert StateVector.from_amplitudes([1, 0, 0, 1]).num_qubits == 2
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([1, 0, 0])
+
+    @pytest.mark.parametrize("state, text", [
+        (ghz(3), "StateVector((0.707+0j)|000> + (0.707+0j)|111>)"),
+        (ghz(7), "StateVector(num_qubits=7)"),
+        (StateVector(2, np.zeros(4)), "StateVector(0)"),
+    ], ids=["ghz-3", "ghz-7", "zero"])
+    def test_repr(self, state, text):
+        assert repr(state) == text
 
 
 class TestIndexConvention:
@@ -285,6 +297,12 @@ class TestStateFiles:
         back = loads_state(dumps_state(s, "json"))
         np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dump_state_roundtrip(self, rng, tmp_path, fmt):
+        s = random_state(rng, 3)
+        dump_state(s, tmp_path / "state", fmt)
+        np.testing.assert_array_equal(load_state(tmp_path / "state").amplitudes, s.amplitudes)
+
     def test_missing_indices_default_zero(self):
         s = loads_state("qubits: 2\n0 1 0\n3 0.5 -0.25\n")
         np.testing.assert_allclose(s.amplitudes, [1, 0, 0, 0.5 - 0.25j])
@@ -331,3 +349,23 @@ class TestStateFiles:
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             loads_state("qubits: 1\n0 1\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dumps_state(ghz(2), "xml"), "unknown state format 'xml'"),
+    (lambda: basis_index("012"), "bits must be 0/1, got '012'"),
+    (lambda: basis_index("01", 3), "expected 3 bits, got 2"),
+    (lambda: product_state([((1,), basis_state("0")), ((3,), basis_state("1"))]),
+     "factor labels [1, 3] do not tile 1..2"),
+    (lambda: Bipartition((1, 1), (2,)), "blocks contain repeated labels"),
+    (lambda: Bipartition.from_block(3, (4,)), "labels (4,) out of range for 3 qubits"),
+    (lambda: list(all_bipartitions(1)), "bipartitions need at least two qubits"),
+    (lambda: max_cross_minor([], []), "vectors must have at least one entry"),
+    (lambda: family_proportional([[1, 2], [1]]), "family vectors must all have the same length"),
+    (lambda: ppt_2qubit(np.zeros((4, 4))), "density matrix trace must be positive, got 0j"),
+], ids=["format", "bits", "bit-count", "labels", "repeated", "out-of-range",
+        "bipartitions", "empty-minor", "family-lengths", "trace"])
+def test_bad_argument_raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
