@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .base import CANDIDATE_SPLITS, FactorizationWitness, detect_base
-from .projection import lose_qubit
+from .projection import ProjectionOverflow, ProjectionResult, lose_qubit
 from .proportional import DEFAULT_TOL, check_tolerance
 from .states import Bipartition, StateVector
 
@@ -139,6 +139,15 @@ def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> Verdict:
     )
 
 
+def _project(state: StateVector, labels: Tuple[int, ...], pos: int) -> ProjectionResult:
+    """``lose_qubit(state, pos)``, where an overflow names the lost qubit
+    and the qubits it is lost from by their labels."""
+    try:
+        return lose_qubit(state, pos)
+    except ProjectionOverflow:
+        raise ProjectionOverflow(labels[pos - 1], labels) from None
+
+
 def _child(
     state: StateVector, labels: Tuple[int, ...], pos: int, tol: float, cache: _Cache
 ) -> Verdict:
@@ -148,7 +157,7 @@ def _child(
     child_labels = labels[: pos - 1] + labels[pos:]
     verdict = cache.get(child_labels)
     if verdict is None:
-        proj = lose_qubit(state, pos)
+        proj = _project(state, labels, pos)
         if proj.is_zero:
             verdict = cache[child_labels] = _VANISHED
         else:
@@ -285,7 +294,7 @@ def replay_certificate(
             if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
                 return False
             if id(child) not in entered and child.qubits not in states:
-                proj = lose_qubit(current, labels.index(lost) + 1)
+                proj = _project(current, labels, labels.index(lost) + 1)
                 if proj.is_zero:
                     return False
                 states[child.qubits] = proj.state

@@ -32,7 +32,7 @@ def check_qubit_count(num_qubits: int) -> None:
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""
 
-    __slots__ = ("num_qubits", "amplitudes", "_max_abs")
+    __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound")
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         if num_qubits < 1:
@@ -49,17 +49,20 @@ class StateVector:
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_max_abs", None)
+        object.__setattr__(self, "_bound", None)
 
     @classmethod
-    def _adopt(cls, num_qubits: int, amps: np.ndarray, max_abs: float) -> "StateVector":
-        """Wrap a fresh complex array of 2^n finite amplitudes and its
-        ``largest_modulus``, with no copy and no checks; the array becomes
-        read-only and must not be shared."""
+    def _adopt(cls, num_qubits: int, amps: np.ndarray, bound: float) -> "StateVector":
+        """Wrap a fresh complex array of 2^n finite amplitudes, with no copy
+        and no checks, and ``bound``, at least every real and imaginary part
+        of them; the array becomes read-only and must not be shared.  Its
+        ``largest_modulus`` is taken only when something asks for it."""
         self = object.__new__(cls)
         amps.flags.writeable = False
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_max_abs", max_abs)
+        object.__setattr__(self, "_max_abs", None)
+        object.__setattr__(self, "_bound", bound)
         return self
 
     def __setattr__(self, name, value):
@@ -70,6 +73,11 @@ class StateVector:
         if self._max_abs is None:
             object.__setattr__(self, "_max_abs", largest_modulus(self.amplitudes))
         return self._max_abs
+
+    def _part_bound(self) -> float:
+        """An upper bound on every real and imaginary part: the bound the state
+        was adopted with, else its largest modulus."""
+        return self._largest() if self._bound is None else self._bound
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":

@@ -171,13 +171,16 @@ class TestDetectCommand:
         assert "detector:  genuine (consistent)" in out
 
     def test_overflowing_sums_exit_three_in_one_line(self, capsys, tmp_path):
-        # Once no projection vanishes, the walk reaches sums that overflow.
+        # Once no projection vanishes, the walk reaches sums that overflow:
+        # losing input qubit 1 is fine, losing qubit 2 after it is not.
         path = tmp_path / "huge.state"
         path.write_text(dumps_state(with_overflowing_moduli(dicke(6, 2))))
         code, out, err = run(capsys, "detect", "--file", str(path))
         assert (code, out) == (3, "")
-        assert err.count("\n") == 1
-        assert "the sums overflow" in err
+        assert err == (
+            "qubitloss: error: losing qubit 2 from {2,3,4,5,6} gives amplitudes "
+            "that are not finite (the sums overflow)\n"
+        )
 
 
 class _NoAllocation:

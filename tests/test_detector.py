@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from qubitloss import (
     detect,
     detect_base,
     detect_with_trace,
+    dicke,
     entanglement_measure,
     example3_4q,
     ghz,
@@ -31,6 +33,7 @@ from qubitloss import (
     wclass_3q,
 )
 from qubitloss.cli import main
+from qubitloss.proportional import largest_modulus
 from helpers import (
     random_bipartition_blocks,
     random_partition_blocks,
@@ -186,6 +189,26 @@ class TestCertificates:
             copy, second.children[1],
         ))))
         assert not replay_certificate(s, forged)
+
+    def test_overflow_names_the_lost_label_and_the_subset(self):
+        # Losing qubit 1 of DICKE(6,2) adds no two nonzero amplitudes; losing
+        # qubit 2 next does.  Replay stops there, before it reaches the
+        # root's second child, a 5-qubit "exact" leaf it would reject.
+        state = with_overflowing_moduli(dicke(6, 2))
+        inner = Certificate((2, 3, 4, 5, 6), "two-projections", (2, 3), (
+            Certificate((3, 4, 5, 6), "exact"), Certificate((2, 4, 5, 6), "exact"),
+        ))
+        cert = Certificate((1, 2, 3, 4, 5, 6), "two-projections", (1, 2), (
+            inner, Certificate((1, 3, 4, 5, 6), "exact"),
+        ))
+        overflow = re.escape(
+            "losing qubit 2 from {2,3,4,5,6} gives amplitudes that are not finite"
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=overflow):
+                detect(state)
+            with pytest.raises(ValueError, match=overflow):
+                replay_certificate(state, cert)
 
     def test_children_drop_one_label_each(self):
         cert = detect(ghz(7)).certificate
@@ -366,3 +389,22 @@ class TestWalkerWork:
     def test_measure_command_walks_once(self, projections, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
         assert len(projections) == 54
+
+    def test_only_the_root_takes_a_largest_modulus_above_a_leaf(self, monkeypatch):
+        # A projection carries a bound on its parts, and on a dense state the
+        # first amplitude settles its zero rule, so the one modulus pass over
+        # more than 16 amplitudes is the root's.
+        sizes = []
+
+        def counted(values):
+            sizes.append(np.size(values))
+            return largest_modulus(values)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qubitloss.") and vars(module).get("largest_modulus") is largest_modulus:
+                monkeypatch.setattr(module, "largest_modulus", counted)
+        s = random_state(np.random.default_rng(12), 12)
+        verdict = detect(s)
+        assert verdict.kind is VerdictKind.GENUINE
+        assert replay_certificate(s, verdict.certificate)
+        assert [size for size in sizes if size > 16] == [1 << 12]

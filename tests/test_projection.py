@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitloss import (
+    DEFAULT_ZERO_RTOL,
     StateVector,
     all_projections,
     basis_state,
@@ -20,6 +23,7 @@ from qubitloss import (
     w_state,
     wclass_3q,
 )
+from qubitloss.proportional import largest_modulus, unit_scale
 from helpers import project_by_bits, random_partition_blocks, random_product
 
 
@@ -57,7 +61,7 @@ class TestLoseQubit:
     def test_overflowing_projection_is_rejected(self):
         huge = StateVector(6, np.full(64, 1e308))
         with np.errstate(over="ignore"):
-            overflow = r"losing qubit 1 .* not finite \(the sums overflow\)"
+            overflow = r"losing qubit 1 from \{1,2,3,4,5,6\} .* not finite \(the sums overflow\)"
             with pytest.raises(ValueError, match=overflow):
                 lose_qubit(huge, 1)
             with pytest.raises(ValueError, match="finite"):
@@ -182,6 +186,16 @@ class TestLoseQubitSet:
         with pytest.raises(ValueError):
             lose_qubit_set(ghz(4), {5})
 
+    def test_overflow_names_the_input_label(self):
+        # |00000> + |01010> at 1e308: the sums overflow once qubits 2 and 4
+        # are both lost, and qubit 4 is then the third of {1,3,4,5}.
+        huge = StateVector(5, np.isin(np.arange(32), (0b00000, 0b01010)) * 1e308)
+        assert not lose_qubit(huge, 4).is_zero
+        with np.errstate(over="ignore"):
+            overflow = r"losing qubit 4 from \{1,3,4,5\} .* \(the sums overflow\)"
+            with pytest.raises(ValueError, match=overflow):
+                lose_qubit_set(huge, (2, 4))
+
 
 class TestProductStateProjections:
     def test_at_most_one_genuine_projection(self, rng):
@@ -220,3 +234,65 @@ class TestProductStateProjections:
             s = random_product(rng, [(1,), tuple(range(2, n + 1))])
             res = lose_qubit(s, 1)
             assert oracle_genuine(res.state)
+
+
+# Scales of the largest modulus, up to a factor of two: subnormal, normal,
+# huge, and close enough to the float maximum that one to four losses can
+# overflow.
+SCALES = (1e-310, 1.0, 1e300, 5e307, 1.7e308)
+
+
+@st.composite
+def loss_chains(draw):
+    """A state and one to four qubit positions to lose from it in turn.
+
+    Shapes: dense; equal moduli, so that many sums near the float maximum
+    overflow; half the amplitudes zero; the first loss's first sum an
+    exact zero, so the zero rule takes the largest moduli; and the first
+    loss cancelling to 1e-14..1e-10 of the state, near the zero threshold.
+    """
+    n = draw(st.integers(2, 7))
+    steps = draw(st.integers(1, min(4, n - 1)))
+    positions = [draw(st.integers(1, n - j)) for j in range(steps)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    pairs = amps.reshape(1 << (positions[0] - 1), 2, -1)
+    shape = draw(st.sampled_from(
+        ["dense", "phases", "half-zero", "first-zero", "near-threshold"]
+    ))
+    if shape == "phases":
+        amps = np.exp(2j * np.pi * rng.random(amps.size))
+    elif shape == "half-zero":
+        amps[rng.random(amps.size) < 0.5] = 0
+    elif shape == "first-zero":
+        pairs[0, 1, 0] = -pairs[0, 0, 0]
+    elif shape == "near-threshold":
+        # Unit moduli, so the first sum is as large as any and the zero rule's
+        # screen, not its fallback, decides most of these.
+        noise = np.exp(2j * np.pi * rng.random(pairs[:, 0].shape))
+        pairs[:, 1] = -pairs[:, 0] + 10.0 ** draw(st.floats(-14, -10)) * noise
+    amps *= unit_scale(largest_modulus(amps))  # largest modulus in [0.5, 1)
+    amps *= draw(st.sampled_from(SCALES))
+    return StateVector(n, amps), positions
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain=loss_chains())
+def test_kernel_matches_reference_projection_and_zero_rule(chain):
+    state, positions = chain
+    with np.errstate(over="ignore"):
+        for k in positions:
+            expected = project_by_bits(state, k)
+            if not np.isfinite(expected.view(np.float64)).all():
+                with pytest.raises(ValueError, match="the sums overflow"):
+                    lose_qubit(state, k)
+                return
+            res = lose_qubit(state, k)
+            assert np.array_equal(
+                res.state.amplitudes.view(np.uint64), expected.view(np.uint64)
+            )
+            vanished = largest_modulus(expected) <= DEFAULT_ZERO_RTOL * largest_modulus(
+                state.amplitudes
+            )
+            assert type(res.is_zero) is bool and res.is_zero == vanished
+            state = res.state
