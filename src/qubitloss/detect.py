@@ -8,6 +8,14 @@ one-sided: fewer than two certified projections proves nothing, and the
 verdict is then inconclusive (``wclass_3q()`` shows why: genuinely
 entangled, all projections product).
 
+The source paper's first theorem bounds the search: every projection of
+a product is a product, except a lone qubit's factor times a genuine
+rest, so a state that is a product across some cut has at most one
+certified projection.  A child that is not certified may carry such a
+cut (its exact leaf's witness, or one it verified itself); the walker
+tries it on the parent, with the lost qubit on either side, and a parent
+that passes is inconclusive at once, without visiting its other children.
+
 Successful detections carry a replayable certificate DAG.  One walker
 serves ``detect``, ``entanglement_measure``, ``detect_with_trace`` and
 ``sufficient_3q``; it is memoized on the subset of surviving qubit
@@ -20,10 +28,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .base import CANDIDATE_SPLITS, FactorizationWitness, detect_base
 from .projection import ProjectionOverflow, ProjectionResult, lose_qubit
-from .proportional import DEFAULT_TOL, check_tolerance
-from .states import Bipartition, StateVector
+from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
+from .states import Bipartition, StateVector, _matricize
 
 
 class VerdictKind(str, enum.Enum):
@@ -60,8 +70,12 @@ _EXACT_MAX = max(CANDIDATE_SPLITS)
 # The verdict of a child whose projection vanished (a product).
 _VANISHED = Verdict(kind=VerdictKind.NOT_GENUINE)
 
-# The walker's memo: the verdict on each subset of surviving qubit labels.
-_Cache = Dict[Tuple[int, ...], Verdict]
+# A product cut of a subset's state, as the labels of one side.
+_Cut = Tuple[int, ...]
+
+# The walker's memo: for each subset of surviving qubit labels, its verdict
+# and a product cut of its state, if one is known.
+_Cache = Dict[Tuple[int, ...], Tuple[Verdict, Optional[_Cut]]]
 
 _ROW_ENTRY = {
     VerdictKind.GENUINE: "entangled",
@@ -150,35 +164,75 @@ def _project(state: StateVector, labels: Tuple[int, ...], pos: int) -> Projectio
 
 def _child(
     state: StateVector, labels: Tuple[int, ...], pos: int, tol: float, cache: _Cache
-) -> Verdict:
-    """Verdict on ``state`` with its ``pos``-th qubit lost, memoized in
-    ``cache`` by the surviving labels; ``_VANISHED`` if the projection
-    vanishes."""
+) -> Tuple[Verdict, Optional[_Cut]]:
+    """Verdict on ``state`` with its ``pos``-th qubit lost, and a product cut
+    of that projection if one is known, memoized in ``cache`` by the
+    surviving labels; ``_VANISHED`` if the projection vanishes."""
     child_labels = labels[: pos - 1] + labels[pos:]
-    verdict = cache.get(child_labels)
-    if verdict is None:
+    entry = cache.get(child_labels)
+    if entry is None:
         proj = _project(state, labels, pos)
         if proj.is_zero:
-            verdict = cache[child_labels] = _VANISHED
+            entry = cache[child_labels] = (_VANISHED, None)
         else:
-            verdict = _walk(proj.state, child_labels, tol, cache)
-    return verdict
+            _walk(proj.state, child_labels, tol, cache)
+            entry = cache[child_labels]
+    return entry
+
+
+def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
+    """Whether ``state`` is a product across ``block`` (sorted qubit
+    positions) and the rest, by the leaf's threshold rule against one pivot:
+    with M the unfolding across the cut and M_rc its largest entry, every
+    |M_ij M_rc - M_ic M_rj| is at most ``tol * |M_rc| * max_j |M_ij|``.
+    Linear in the number of amplitudes; no singular values."""
+    m = _matricize(state.amplitudes, state.num_qubits, block) * unit_scale(state._largest())
+    moduli = np.abs(m)
+    r, c = np.unravel_index(moduli.argmax(), m.shape)
+    minors = np.abs(m * m[r, c] - np.outer(m[:, c], m[r]))
+    # Row r's minors are M_rj M_rc - M_rc M_rj, zero but for the operand
+    # order, which complex multiplication need not ignore bitwise.
+    minors[r] = 0.0
+    return bool((minors <= tol * moduli[r, c] * moduli.max(axis=1)[:, None]).all())
+
+
+def _verified_cut(
+    state: StateVector, labels: Tuple[int, ...], lost: int, cut: _Cut, tol: float
+) -> Optional[_Cut]:
+    """A child's ``cut``, with its ``lost`` qubit joined to one side and then
+    to the other: the first across which ``state`` is a product, if any."""
+    for side in (tuple(sorted(cut + (lost,))), cut):
+        block = tuple(pos for pos, q in enumerate(labels, start=1) if q in side)
+        if _product_across(state, block, tol):
+            return side
+    return None
 
 
 def _walk(state: StateVector, labels: Tuple[int, ...], tol: float, cache: _Cache) -> Verdict:
     """Verdict on ``state``, whose qubits carry ``labels``, stored in
-    ``cache`` by those labels.  Above the exact regime the children (one
-    qubit lost each) are visited in label order until two certify; the
-    certificate cites those two."""
+    ``cache`` by those labels with a product cut of ``state`` when one is
+    known.  Up to four qubits that is the exact leaf and its witness's cut.
+    Above, the children (one qubit lost each) are visited in label order
+    until two certify, and the certificate cites those two; but when a
+    child that is not certified carries a cut that ``state`` verifies
+    (``_verified_cut``), the walk stops there, inconclusive, and records
+    that cut."""
+    cut = None
     if len(labels) <= _EXACT_MAX:
         verdict = _leaf(state, labels, tol)
+        if verdict.witness is not None:
+            cut = verdict.witness.partition.block_a
     else:
         certified: List[Tuple[int, Certificate]] = []
         for pos, lost in enumerate(labels, start=1):
-            child = _child(state, labels, pos, tol, cache)
+            child, child_cut = _child(state, labels, pos, tol, cache)
             if child.kind is VerdictKind.GENUINE:
                 certified.append((lost, child.certificate))
                 if len(certified) == 2:
+                    break
+            elif child_cut is not None:
+                cut = _verified_cut(state, labels, lost, child_cut, tol)
+                if cut is not None:
                     break
         verdict = Verdict(kind=VerdictKind.INCONCLUSIVE)
         if len(certified) == 2:
@@ -187,7 +241,7 @@ def _walk(state: StateVector, labels: Tuple[int, ...], tol: float, cache: _Cache
                 kind=VerdictKind.GENUINE,
                 certificate=Certificate(labels, "two-projections", lost, children),
             )
-    cache[labels] = verdict
+    cache[labels] = verdict, cut
     return verdict
 
 
@@ -197,7 +251,7 @@ def _sweep(state: StateVector, tol: float) -> SweepReport:
     none of its children."""
     labels = tuple(range(1, state.num_qubits + 1))
     cache: _Cache = {}
-    row = tuple(_child(state, labels, pos, tol, cache) for pos in range(1, len(labels) + 1))
+    row = tuple(_child(state, labels, pos, tol, cache)[0] for pos in range(1, len(labels) + 1))
     return SweepReport(per_qubit=row, verdict=_walk(state, labels, tol, cache))
 
 

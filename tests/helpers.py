@@ -51,6 +51,21 @@ def random_partition_blocks(
         return blocks
 
 
+def random_blocks(rng: np.random.Generator, n: int, count: int):
+    """Labels 1..n in random order, cut into ``count`` nonempty blocks."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
+    return [tuple(sorted(int(q) for q in part)) for part in np.split(rng.permutation(n) + 1, cuts)]
+
+
+def hadamard_ghz(n: int) -> StateVector:
+    """H^n GHZ(n) = (|+...+> + |-...->)/sqrt(2): genuine, yet each of its
+    projections is |+...+> times a scalar, a product."""
+    plus, minus = np.ones(1 << n), np.ones(1)
+    for _ in range(n):
+        minus = np.kron(minus, [1, -1])
+    return StateVector(n, (plus + minus) / 2 ** ((n + 1) / 2))
+
+
 def random_product(rng: np.random.Generator, blocks) -> StateVector:
     return random_product_state(rng, blocks)
 

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitloss import (
     Certificate,
@@ -29,13 +31,17 @@ from qubitloss import (
     product_state,
     random_state,
     replay_certificate,
+    unfold,
     w_state,
     wclass_3q,
 )
 from qubitloss.cli import main
+from qubitloss.oracle import numerical_rank
 from qubitloss.proportional import largest_modulus
 from helpers import (
+    hadamard_ghz,
     random_bipartition_blocks,
+    random_blocks,
     random_partition_blocks,
     random_product,
     reference_detect,
@@ -110,6 +116,110 @@ class TestRecursion:
             else:
                 s = random_product(rng, random_partition_blocks(rng, n))
             assert detect(s) == reference_detect(s)
+
+
+def _minus_ghz(n):
+    """|-> on qubit 1 times GHZ(n-1): losing qubit 1 vanishes."""
+    return product_state([((1,), StateVector(1, [1, -1])), (tuple(range(2, n + 1)), ghz(n - 1))])
+
+
+def _product_first_child(n):
+    """|0> GHZ(n-1) + |1> (p - GHZ(n-1)) for a product p: genuine, though
+    losing qubit 1 leaves p, whose cut the root must try and reject."""
+    rng = np.random.default_rng(n)
+    g = ghz(n - 1).amplitudes
+    p = random_product(rng, random_blocks(rng, n - 1, 2)).amplitudes
+    return StateVector(n, np.concatenate([g, p - g]))
+
+
+def _seeded_product(n, count):
+    rng = np.random.default_rng([n, count])
+    return random_product(rng, random_blocks(rng, n, count))
+
+
+_EQUIVALENCE_CASES = (
+    [(f"dense{n}", lambda n=n: random_state(np.random.default_rng(n), n)) for n in range(5, 10)]
+    + [(f"product{n}x{k}", lambda n=n, k=k: _seeded_product(n, k))
+       for n in range(5, 10) for k in (2, 3)]
+    # The prune-free walk of a product takes most paths through the lattice,
+    # 5 s for this one, so n = 10 has one case.
+    + [("product10x2", lambda: _seeded_product(10, 2))]
+    + [(f"{f.__name__}{n}", lambda f=f, n=n: f(n))
+       for f in (_minus_ghz, _product_first_child, ghz, w_state, lambda n: dicke(n, 2))
+       for n in range(5, 9)]
+)
+
+
+class TestPruneEquivalence:
+    """A verified product cut stops a walk early, but on these inputs the
+    verdict, witness and certificate are those of the memo-free, prune-free
+    reference recursion, for ``detect`` and the measure alike."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _EQUIVALENCE_CASES], ids=[i for i, _ in _EQUIVALENCE_CASES]
+    )
+    def test_matches_reference(self, build):
+        s = build()
+        expected = reference_detect(s)
+        assert detect(s) == expected
+        assert entanglement_measure(s).verdict == expected
+
+
+class TestCutTest:
+    """``_product_across``, one pass against the largest entry, gives the
+    oracle's rank-1 answer on clear cases, at any scale."""
+
+    def test_agrees_with_the_rank(self, rng):
+        product_across = sys.modules["qubitloss.detect"]._product_across
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            if rng.random() < 0.5:
+                s = random_state(rng, n)
+            else:
+                s = random_product(rng, random_partition_blocks(rng, n))
+            scaled = StateVector(n, s.amplitudes * 10.0 ** float(rng.choice([-300, 0, 300])))
+            block, _ = random_bipartition_blocks(rng, n)
+            expected = numerical_rank(unfold(s, block)) == 1
+            assert product_across(scaled, block, 1e-9) is expected
+
+    def test_exact_products_pass_at_tol_zero(self):
+        product_across = sys.modules["qubitloss.detect"]._product_across
+        assert product_across(basis_state("01101"), (2, 4), 0.0)
+        assert product_across(product_state([((1, 3), ghz(2)), ((2,), basis_state("1"))]), (2,), 0.0)
+        assert not product_across(ghz(5), (1, 2), 0.0)
+
+
+def _near_products():
+    """Products plus eps-scaled complex noise, and near-cancelling products
+    c (x) c' (x) r with c = (1, -(1 + delta)), on permuted labels, n = 5..8."""
+    @st.composite
+    def noisy(draw):
+        n, seed = draw(st.integers(5, 8)), draw(st.integers(0, 2**32 - 1))
+        eps = 10.0 ** draw(st.floats(-14, -6))
+        rng = np.random.default_rng(seed)
+        amps = random_product(rng, random_blocks(rng, n, draw(st.integers(2, 3)))).amplitudes
+        noise = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        return StateVector(n, amps + eps * np.abs(amps).max() * noise)
+
+    @st.composite
+    def cancelling(draw):
+        n, seed = draw(st.integers(5, 8)), draw(st.integers(0, 2**32 - 1))
+        deltas = [10.0 ** draw(st.floats(-14, -4)) for _ in range(2)]
+        rng = np.random.default_rng(seed)
+        labels = [int(q) for q in rng.permutation(n) + 1]
+        return product_state(
+            [((q,), StateVector(1, [1, -(1 + d)])) for q, d in zip(labels, deltas)]
+            + [(tuple(sorted(labels[2:])), random_state(rng, n - 2))]
+        )
+
+    return st.one_of(noisy(), cancelling())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_products())
+def test_near_products_certified_only_if_the_reference_certifies(s):
+    if detect(s).kind is VerdictKind.GENUINE:
+        assert reference_detect(s).kind is VerdictKind.GENUINE
 
 
 def _with_first_leaf(cert, **changes):
@@ -385,6 +495,48 @@ class TestWalkerWork:
         assert peak <= 2 * s.amplitudes.nbytes
         forged = _with_first_leaf(cert, rule="oracle")
         assert not replay_certificate(s, forged)
+
+    @pytest.fixture
+    def cut_tests(self, monkeypatch):
+        """The qubit counts of the states ``_product_across`` tests."""
+        module = sys.modules["qubitloss.detect"]
+        original = module._product_across
+        sizes = []
+
+        def counted(state, *args):
+            sizes.append(state.num_qubits)
+            return original(state, *args)
+
+        monkeypatch.setattr(module, "_product_across", counted)
+        return sizes
+
+    def test_product_stops_at_a_verified_cut(self, projections, cut_tests):
+        # The walk without the cut makes 847 projections here.
+        s = random_product(np.random.default_rng(10), [(1, 4, 6, 9), (2, 3, 5, 7, 8, 10)])
+        verdict = detect(s)
+        assert verdict.kind is VerdictKind.INCONCLUSIVE and verdict.witness is None
+        assert len(projections) <= 20
+        assert cut_tests
+
+    @pytest.mark.parametrize("entry", [detect, entanglement_measure])
+    def test_no_cut_tests_where_children_certify(self, cut_tests, entry):
+        # Every subset these walks reach is certified, so no child has a cut.
+        for s in (random_state(np.random.default_rng(10), 10), ghz(8)):
+            entry(s)
+        assert cut_tests == []
+
+    def test_hadamard_ghz_walks_less(self, projections):
+        # Every projection of H^8 GHZ(8) is a product; without the cut the
+        # walk projects onto all 162 subsets of >= 4 qubits but the root.
+        assert detect(hadamard_ghz(8)).kind is VerdictKind.INCONCLUSIVE
+        assert len(projections) < 162
+
+    def test_a_node_that_is_no_product_tests_two_cuts_per_child(self, cut_tests):
+        # The root of H^8 GHZ(8) is genuine and each of its 8 children is a
+        # product that carries a cut, so the root tries that cut with the
+        # lost qubit on either side and then goes on to the next child.
+        assert detect(hadamard_ghz(8)).kind is VerdictKind.INCONCLUSIVE
+        assert cut_tests.count(8) == 2 * 8
 
     def test_measure_command_walks_once(self, projections, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
