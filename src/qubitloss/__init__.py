@@ -54,23 +54,21 @@ from .oracle import (
     ppt_2qubit,
     unfold,
 )
-from .projection import (
-    DEFAULT_ZERO_RTOL,
-    ProjectionResult,
-    all_projections,
-    lose_qubit,
-    lose_qubit_set,
-)
 from .proportional import family_proportional, max_cross_minor, pair_proportional
 from .stateio import dump_state, dumps_state, load_state, loads_state
 from .states import (
+    DEFAULT_ZERO_RTOL,
     MAX_QUBITS,
     Bipartition,
+    ProjectionResult,
     StateVector,
     all_bipartitions,
+    all_projections,
     basis_index,
     basis_state,
     equal_up_to_scale,
+    lose_qubit,
+    lose_qubit_set,
     product_state,
     random_product_state,
     random_state,

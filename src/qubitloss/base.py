@@ -1,4 +1,5 @@
-"""Exact product/genuine-entanglement decisions for 2, 3 and 4 qubits.
+"""Every product test: the exact 2/3/4-qubit decisions and the walker's
+test of one cut on a larger state.
 
 A pure state is a product across a given bipartition exactly when the
 coefficient vectors obtained by grouping amplitudes over the first
@@ -11,7 +12,8 @@ candidate family is proportional.
 All candidate splits of a state are tested in one vectorized pass over a
 padded gather table, with the pivot and threshold rule of
 ``family_proportional``, which stays as the reference the tests check
-the pass against.
+the pass against.  ``_product_across`` tests one given cut of a state of
+any size by the same threshold rule against one pivot, the largest entry.
 """
 
 from __future__ import annotations
@@ -115,6 +117,22 @@ def _proportional_mask(state: StateVector, tol: float) -> np.ndarray:
     # multiply-add.  The reference never compares the pivot with itself.
     ok[splits, pivot] = True
     return ok.all(axis=1)
+
+
+def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
+    """Whether ``state`` is a product across ``block`` (sorted qubit
+    positions) and the rest, by the leaf's threshold rule against one pivot:
+    with M the unfolding across the cut and M_rc its largest entry, every
+    |M_ij M_rc - M_ic M_rj| is at most ``tol * |M_rc| * max_j |M_ij|``.
+    Linear in the number of amplitudes; no singular values."""
+    m = _matricize(state.amplitudes, state.num_qubits, block) * unit_scale(state._largest())
+    moduli = np.abs(m)
+    r, c = np.unravel_index(moduli.argmax(), m.shape)
+    minors = np.abs(m * m[r, c] - np.outer(m[:, c], m[r]))
+    # Row r's minors are M_rj M_rc - M_rc M_rj, zero but for the operand
+    # order, which complex multiplication need not ignore bitwise.
+    minors[r] = 0.0
+    return bool((minors <= tol * moduli[r, c] * moduli.max(axis=1)[:, None]).all())
 
 
 def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:

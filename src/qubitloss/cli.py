@@ -39,13 +39,15 @@ from .detect import (
     format_certificate,
 )
 from .oracle import find_product_cut, oracle_genuine, partial_trace, ppt_2qubit
-from .projection import all_projections, lose_qubit, lose_qubit_set
 from .proportional import DEFAULT_TOL, check_tolerance
 from .states import (
     Bipartition,
     StateVector,
+    all_projections,
     basis_state,
     equal_up_to_scale,
+    lose_qubit,
+    lose_qubit_set,
     product_state,
     random_product_state,
     random_state,

@@ -20,6 +20,8 @@ Successful detections carry a replayable certificate DAG.  One walker
 serves ``detect``, ``entanglement_measure``, ``detect_with_trace`` and
 ``sufficient_3q``; it is memoized on the subset of surviving qubit
 labels, which is sound because projections for different qubits commute.
+The walker does no amplitude arithmetic: ``states.lose_qubit`` projects,
+and ``base`` decides every product test, the leaf and the cut alike.
 """
 
 from __future__ import annotations
@@ -28,12 +30,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .base import CANDIDATE_SPLITS, FactorizationWitness, detect_base
-from .projection import ProjectionOverflow, ProjectionResult, lose_qubit
-from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
-from .states import Bipartition, StateVector, _matricize
+from .base import CANDIDATE_SPLITS, FactorizationWitness, _product_across, detect_base
+from .proportional import DEFAULT_TOL, check_tolerance
+from .states import Bipartition, ProjectionOverflow, ProjectionResult, StateVector, lose_qubit
 
 
 class VerdictKind(str, enum.Enum):
@@ -178,22 +177,6 @@ def _child(
             _walk(proj.state, child_labels, tol, cache)
             entry = cache[child_labels]
     return entry
-
-
-def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
-    """Whether ``state`` is a product across ``block`` (sorted qubit
-    positions) and the rest, by the leaf's threshold rule against one pivot:
-    with M the unfolding across the cut and M_rc its largest entry, every
-    |M_ij M_rc - M_ic M_rj| is at most ``tol * |M_rc| * max_j |M_ij|``.
-    Linear in the number of amplitudes; no singular values."""
-    m = _matricize(state.amplitudes, state.num_qubits, block) * unit_scale(state._largest())
-    moduli = np.abs(m)
-    r, c = np.unravel_index(moduli.argmax(), m.shape)
-    minors = np.abs(m * m[r, c] - np.outer(m[:, c], m[r]))
-    # Row r's minors are M_rj M_rc - M_rc M_rj, zero but for the operand
-    # order, which complex multiplication need not ignore bitwise.
-    minors[r] = 0.0
-    return bool((minors <= tol * moduli[r, c] * moduli.max(axis=1)[:, None]).all())
 
 
 def _verified_cut(

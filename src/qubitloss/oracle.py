@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .proportional import DEFAULT_TOL, check_tolerance, largest_modulus, unit_scale
-from .states import Bipartition, StateVector, all_bipartitions, unfold
+from .states import Bipartition, StateVector, all_bipartitions, as_int, unfold
 
 MAX_SCAN_QUBITS = 12
 
@@ -27,6 +27,8 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
     m = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     # Scaled exactly so that no singular value overflows or underflows.
     sigma = np.linalg.svd(m * unit_scale(largest_modulus(m)), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -64,7 +66,7 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> np.ndarray:
     reduction is M M^dagger: Hermitian, positive semidefinite, trace 1.
     """
     n = state.num_qubits
-    keep = tuple(sorted(int(q) for q in keep))
+    keep = tuple(sorted(map(as_int, keep)))
     if not keep or len(keep) >= n:
         raise ValueError(f"kept qubits {keep} must be a nonempty proper subset")
     m = unfold(state.normalized(), keep)
@@ -82,6 +84,8 @@ def ppt_2qubit(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
     scale = max(1.0, largest_modulus(rho))
     if float(np.abs(rho - rho.conj().T).max()) > 1e-10 * scale:
         raise ValueError("density matrix is not Hermitian within tolerance")

@@ -1,16 +1,32 @@
-"""Pure n-qubit state vectors.
+"""Pure n-qubit state vectors: their index layout, their magnitudes and
+the qubit-loss projection.
 
 Amplitude index i spells the bit string b1 b2 ... bn with qubit 1 as the
 most significant bit, so the amplitude of |b1...bn> sits at
 sum(b_k * 2**(n-k)).  States are deliberately kept unnormalized: every
 detection test in this package is invariant under global rescaling, and
-projected states come out unnormalized anyway.
+projected states come out unnormalized anyway.  Every qubit number, label
+and bit given as a number is read through ``as_int``.
+
+Losing qubit k adds, for every remaining bit pattern, the two amplitudes
+that differ only in qubit k's bit: viewed as an array of shape
+(2^(k-1), 2, 2^(n-k)), one add of its two halves along the middle axis,
+the only pass over the amplitudes.  Every state carries an upper bound on
+its real and imaginary parts (its largest modulus when built directly,
+twice the input's bound for a projection), which proves that the sums
+cannot overflow and, from the first amplitude alone, settles the zero
+rule whenever it is not close; only then is a largest modulus taken.
+The projection is linear, losses of different qubits commute, and the
+result is a pure state, unlike a partial trace.  It is never
+renormalized, and one that vanishes counts as a product.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +35,19 @@ from .proportional import DEFAULT_TOL, largest_modulus, pair_proportional, unit_
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
 MAX_QUBITS = 24
+
+# A projection counts as vanished when its largest amplitude is at most this
+# fraction of the input's largest amplitude.  The rule is fixed.
+DEFAULT_ZERO_RTOL = 1e-12
+
+
+def as_int(value) -> int:
+    """A qubit number, label or bit as an int; Python and NumPy integers
+    pass, anything else (a float included) raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"qubit numbers, labels and bits must be integers, got {value!r}") from None
 
 
 def check_qubit_count(num_qubits: int) -> None:
@@ -74,11 +103,6 @@ class StateVector:
             object.__setattr__(self, "_max_abs", largest_modulus(self.amplitudes))
         return self._max_abs
 
-    def _part_bound(self) -> float:
-        """An upper bound on every real and imaginary part: the bound the state
-        was adopted with, else its largest modulus."""
-        return self._largest() if self._bound is None else self._bound
-
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build a state from a length-2^n vector, inferring n."""
@@ -125,7 +149,7 @@ def basis_index(bits, num_qubits: int | None = None) -> int:
     if isinstance(bits, str):
         seq = [int(c) for c in bits]
     else:
-        seq = [int(b) for b in bits]
+        seq = [as_int(b) for b in bits]
     if any(b not in (0, 1) for b in seq):
         raise ValueError(f"bits must be 0/1, got {bits!r}")
     if num_qubits is not None and len(seq) != num_qubits:
@@ -162,7 +186,7 @@ def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> State
     label_seq: list[int] = []
     arr = np.ones(1, dtype=complex)
     for labels, st in factors:
-        labels = tuple(int(q) for q in labels)
+        labels = tuple(as_int(q) for q in labels)
         if len(labels) != st.num_qubits:
             raise ValueError(
                 f"factor on {labels} has {st.num_qubits} qubits, "
@@ -202,8 +226,8 @@ class Bipartition:
     block_b: Tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted(self.block_a))
-        b = tuple(sorted(self.block_b))
+        a = tuple(sorted(map(as_int, self.block_a)))
+        b = tuple(sorted(map(as_int, self.block_b)))
         if not a or not b:
             raise ValueError("both blocks must be nonempty")
         if set(a) & set(b):
@@ -215,7 +239,7 @@ class Bipartition:
 
     @classmethod
     def from_block(cls, num_qubits: int, block_a: Iterable[int]) -> "Bipartition":
-        a = tuple(sorted(int(q) for q in block_a))
+        a = tuple(sorted(as_int(q) for q in block_a))
         if not all(1 <= q <= num_qubits for q in a):
             raise ValueError(f"labels {a} out of range for {num_qubits} qubits")
         b = tuple(q for q in range(1, num_qubits + 1) if q not in set(a))
@@ -268,6 +292,83 @@ def all_bipartitions(num_qubits: int) -> Iterator[Bipartition]:
         if len(block_a) == num_qubits:
             continue
         yield Bipartition.from_block(num_qubits, block_a)
+
+
+class ProjectionOverflow(ValueError):
+    """A projection whose sums leave the float range, naming the lost qubit
+    and the qubits it was lost from by their labels."""
+
+    def __init__(self, lost: int, labels: Sequence[int]) -> None:
+        subset = "{" + ",".join(map(str, labels)) + "}"
+        super().__init__(
+            f"losing qubit {lost} from {subset} gives amplitudes that are not "
+            "finite (the sums overflow)"
+        )
+
+
+@dataclass(frozen=True)
+class ProjectionResult:
+    state: StateVector
+    lost_qubit: int
+    is_zero: bool
+
+
+def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
+    """Project out qubit k (1-based), returning the (n-1)-qubit state."""
+    k = as_int(k)
+    n = state.num_qubits
+    if n < 2:
+        raise ValueError("cannot lose a qubit from a single-qubit state")
+    if not 1 <= k <= n:
+        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    pairs = state.amplitudes.reshape(1 << (k - 1), 2, 1 << (n - k))
+    out = (pairs[:, 0] + pairs[:, 1]).reshape(-1)
+    # A state not adopted bounds its parts by its largest modulus.  Two parts
+    # of at most B round to a sum of at most 2B, so only a bound past the
+    # float maximum lets a sum overflow.
+    bound = 2.0 * (state._largest() if state._bound is None else state._bound)
+    if bound > sys.float_info.max and not np.isfinite(out.view(np.float64)).all():
+        raise ProjectionOverflow(k, range(1, n + 1))
+    projected = StateVector._adopt(n - 1, out, bound)
+    # The zero rule compares largest moduli.  |out[0]| is at least its larger
+    # part and the input's largest modulus is at most sqrt(2) times its own
+    # bound, below ``bound``: a part of out[0] above the threshold at
+    # ``bound`` settles "not zero" with no pass over either state.
+    first = complex(out[0])
+    settled = max(abs(first.real), abs(first.imag)) > DEFAULT_ZERO_RTOL * bound
+    is_zero = not settled and projected._largest() <= DEFAULT_ZERO_RTOL * state._largest()
+    return ProjectionResult(state=projected, lost_qubit=k, is_zero=is_zero)
+
+
+def all_projections(state: StateVector) -> List[ProjectionResult]:
+    """The n single-qubit-loss projections, in qubit order."""
+    return [lose_qubit(state, k) for k in range(1, state.num_qubits + 1)]
+
+
+def lose_qubit_set(state: StateVector, qubits: Iterable[int]) -> StateVector:
+    """Project out several qubits (set semantics, order independent).
+
+    At least two qubits must remain.
+    """
+    ks = sorted(set(as_int(q) for q in qubits))
+    n = state.num_qubits
+    if not ks:
+        raise ValueError("no qubits to lose")
+    if ks[0] < 1 or ks[-1] > n:
+        raise ValueError(f"qubit indices {ks} out of range 1..{n}")
+    if n - len(ks) < 2:
+        raise ValueError(
+            f"losing {len(ks)} of {n} qubits leaves fewer than two"
+        )
+    # Ascending original order; ``labels`` names the qubits still present.
+    current, labels = state, tuple(range(1, n + 1))
+    for k in ks:
+        try:
+            current = lose_qubit(current, labels.index(k) + 1).state
+        except ProjectionOverflow:
+            raise ProjectionOverflow(k, labels) from None
+        labels = tuple(q for q in labels if q != k)
+    return current
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:

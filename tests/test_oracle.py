@@ -184,6 +184,26 @@ class TestPpt:
             ppt_2qubit(np.eye(8) / 8)
 
 
+class TestNonFiniteMatrices:
+    # An infinite entry read rank 0 (with a RuntimeWarning) and "separable";
+    # a NaN entry raised LinAlgError.
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_numerical_rank_rejects(self, bad):
+        m = np.array([[1, 0], [0, 1]], dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            numerical_rank(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ppt_rejects(self, bad):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[2, 2] = bad
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            ppt_2qubit(rho)
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            ppt_2qubit(np.full((4, 4), bad))
+
+
 class TestOracleTolerance:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
     def test_bad_tolerance_rejected(self, tol):

@@ -1,0 +1,46 @@
+"""The package's public surface: every exported name resolves, the list
+of names stays fixed, and the walker module does no amplitude arithmetic."""
+
+import importlib
+import sys
+
+import pytest
+
+import qubitloss
+
+PUBLIC_NAMES = [
+    "__version__", "BaseVerdict", "Bipartition", "CATALOG_KEYS", "Certificate",
+    "DEFAULT_ZERO_RTOL", "FactorizationWitness", "MAX_QUBITS", "MAX_SCAN_QUBITS",
+    "MeasureReport", "ProjectionResult", "StateVector", "SufficientCheck",
+    "SweepReport", "TraceReport", "Verdict", "VerdictKind", "all_bipartitions",
+    "all_factorizations", "all_projections", "basis_index", "basis_state",
+    "cluster4", "coefficient_groups", "detect", "detect_2q", "detect_3q",
+    "detect_4q", "detect_base", "detect_with_trace", "dicke", "dump_state",
+    "dumps_state", "entanglement_measure", "equal_up_to_scale", "example3_4q",
+    "family_proportional", "find_product_cut", "format_certificate", "ghz",
+    "load_state", "loads_state", "lose_qubit", "lose_qubit_set",
+    "max_cross_minor", "named_state", "numerical_rank", "oracle_genuine",
+    "pair_proportional", "partial_trace", "phi4", "ppt_2qubit", "product_state",
+    "random_product_state", "random_state", "replay_certificate",
+    "sufficient_3q", "tensor", "unfold", "w_state", "wclass_3q",
+]
+
+
+def test_public_names_are_fixed_and_resolve():
+    assert qubitloss.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(qubitloss, name) is not None, name
+
+
+def test_walker_module_holds_no_numpy():
+    # The walker decides from verdicts and cuts; states and base own every
+    # pass over amplitudes.
+    assert not hasattr(sys.modules["qubitloss.detect"], "np")
+
+
+def test_the_loss_lives_in_states():
+    states = sys.modules["qubitloss.states"]
+    assert qubitloss.lose_qubit is states.lose_qubit
+    assert sys.modules["qubitloss.detect"].lose_qubit is states.lose_qubit
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qubitloss.projection")

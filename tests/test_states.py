@@ -21,6 +21,7 @@ from qubitloss import (
     load_state,
     loads_state,
     lose_qubit,
+    lose_qubit_set,
     max_cross_minor,
     named_state,
     partial_trace,
@@ -29,6 +30,7 @@ from qubitloss import (
     product_state,
     random_state,
     tensor,
+    unfold,
     w_state,
 )
 
@@ -369,3 +371,29 @@ def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: lose_qubit_set(w_state(4), [1.5]), "1.5"),
+    (lambda: lose_qubit(ghz(3), 1.0), "1.0"),
+    (lambda: Bipartition.from_block(3, [1.5]), "1.5"),
+    (lambda: Bipartition((1.5,), (2,)), "1.5"),
+    (lambda: unfold(ghz(3), [2.9]), "2.9"),
+    (lambda: partial_trace(ghz(3), (1.7,)), "1.7"),
+    (lambda: basis_state([0.7, 1]), "0.7"),
+    (lambda: product_state([((1.5,), basis_state("0")), ((1,), basis_state("1"))]), "1.5"),
+], ids=["lose-set", "lose", "from-block", "bipartition", "unfold", "partial-trace",
+        "basis-state", "product-state"])
+def test_non_integer_qubit_numbers_are_rejected(call, bad):
+    # int() used to truncate these, so 1.5 silently named qubit 1.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"qubit numbers, labels and bits must be integers, got {bad}"
+
+
+def test_numpy_integers_are_qubit_numbers():
+    k = np.int64(2)
+    assert lose_qubit(ghz(3), k).lost_qubit == 2
+    assert np.array_equal(lose_qubit_set(w_state(4), [k, 3]).amplitudes, [1, 0.5, 0.5, 0])
+    assert str(Bipartition.from_block(3, [np.int32(2)])) == "{2}|{1,3}"
+    assert basis_state([np.int8(1), 0]).amplitude("10") == 1
