@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import StateVector, check_qubit_count
+from .states import StateVector, as_int, check_qubit_count, int_text
 
 CATALOG_KEYS = (
     "GHZ",
@@ -29,7 +29,7 @@ CATALOG_KEYS = (
 
 def ghz(num_qubits: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    if num_qubits < 2:
+    if check_qubit_count(num_qubits) < 2:
         raise ValueError("GHZ needs at least two qubits")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
@@ -38,15 +38,15 @@ def ghz(num_qubits: int) -> StateVector:
 
 def w_state(num_qubits: int) -> StateVector:
     """Uniform superposition of the Hamming-weight-1 basis states."""
-    if num_qubits < 2:
+    if check_qubit_count(num_qubits) < 2:
         raise ValueError("W needs at least two qubits")
     return dicke(num_qubits, 1)
 
 
 def dicke(num_qubits: int, excitations: int) -> StateVector:
     """Uniform superposition of the Hamming-weight-k basis states, normalized."""
-    n, k = num_qubits, excitations
-    if n < 1 or not 0 <= k <= n:
+    n, k = check_qubit_count(num_qubits), as_int(excitations)
+    if not 0 <= k <= n:
         raise ValueError(f"invalid Dicke parameters n={n}, k={k}")
     amps = np.zeros(1 << n, dtype=complex)
     count = math.comb(n, k)
@@ -108,7 +108,7 @@ def named_state(name: str, num_qubits: int | None = None) -> StateVector:
     """
     key = name.strip().upper()
     if num_qubits is not None:
-        check_qubit_count(num_qubits)
+        num_qubits = check_qubit_count(num_qubits)
     if key in _FIXED_BUILDERS:
         state = _FIXED_BUILDERS[key]()
         if num_qubits is not None and num_qubits != state.num_qubits:
@@ -118,11 +118,11 @@ def named_state(name: str, num_qubits: int | None = None) -> StateVector:
         if num_qubits is None:
             raise ValueError(f"{key} needs an explicit qubit count")
         return ghz(num_qubits) if key == "GHZ" else w_state(num_qubits)
-    m = re.fullmatch(r"DICKE\((\d+)\)", key)
+    m = re.fullmatch(r"DICKE\(([0-9]+)\)", key)
     if m:
         if num_qubits is None:
             raise ValueError("DICKE(k) needs an explicit qubit count")
-        return dicke(num_qubits, int(m.group(1)))
+        return dicke(num_qubits, int_text(m.group(1)))
     raise ValueError(
         f"unknown catalog state {name!r}; known: {', '.join(CATALOG_KEYS)}"
     )

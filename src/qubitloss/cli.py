@@ -46,6 +46,7 @@ from .states import (
     all_projections,
     basis_state,
     equal_up_to_scale,
+    int_text,
     lose_qubit,
     lose_qubit_set,
     product_state,
@@ -87,7 +88,7 @@ def _tolerance(text: str) -> float:
 
 def _qubit_list(text: str) -> list[int]:
     try:
-        ks = [int(tok) for tok in text.split(",")]
+        ks = [int_text(tok) for tok in text.split(",")]
     except ValueError:
         ks = []
     if not ks:
@@ -100,7 +101,7 @@ def _qubit_list(text: str) -> list[int]:
 def _int_at_least(low: int, what: str):
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = int_text(text)
         except ValueError:
             value = low - 1
         if value < low:
@@ -113,7 +114,8 @@ def _int_at_least(low: int, what: str):
 _FLAGS = {
     "--file": dict(metavar="PATH", help="state file (text or JSON format)"),
     "--catalog": dict(metavar="NAME", help=f"catalog state; one of {', '.join(CATALOG_KEYS)}"),
-    "--n": dict(type=int, metavar="N", help="qubit count for GHZ/W/DICKE(k)"),
+    "--n": dict(type=_int_at_least(1, "a qubit count >= 1"), metavar="N",
+                help="qubit count for GHZ/W/DICKE(k)"),
     "--tol": dict(
         type=_tolerance, default=DEFAULT_TOL, metavar="REL",
         help="relative tolerance for all proportionality/rank tests (default %(default)g)",

@@ -2,9 +2,9 @@
 
 Two interchangeable formats:
 
-* text -- a header line ``qubits: n`` followed by up to 2^n lines
-  ``index re im`` (decimal, whitespace separated); omitted indices are
-  zero amplitudes.
+* text -- ASCII with no underscore: a header line ``qubits: n`` followed
+  by up to 2^n lines ``index re im`` (n and the index in digits alone, re
+  and im decimal, whitespace separated); omitted indices are zero amplitudes.
 * JSON -- ``{"qubits": n, "amplitudes": [[re, im], ...]}`` with exactly
   2^n entries.
 
@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .states import StateVector, check_qubit_count
+from .states import StateVector, check_qubit_count, int_text
 
 
 # The Python types json gives a JSON number.  Tested with ``type``, not
@@ -67,18 +67,14 @@ def dump_state(state: StateVector, path: str | os.PathLike, fmt: str = "text") -
 
 
 def _loads_text(text: str) -> StateVector:
+    if not text.isascii() or "_" in text:  # float() reads "1_0" and other scripts' digits
+        raise ValueError("a text state document must be ASCII with no underscore")
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     header = lines[0].split(":")
     if len(header) != 2 or header[0].strip() != "qubits":
         raise ValueError(f"expected 'qubits: n' header, got {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ValueError(f"bad qubit count {header[1].strip()!r}") from None
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    check_qubit_count(n)
+    n = check_qubit_count(int_text(header[1].strip()))
     amps = np.zeros(1 << n, dtype=complex)
     seen = set()
     for ln in lines[1:]:
@@ -86,7 +82,7 @@ def _loads_text(text: str) -> StateVector:
         if len(parts) != 3:
             raise ValueError(f"expected 'index re im', got {ln!r}")
         try:
-            idx = int(parts[0])
+            idx = int_text(parts[0])
             re_part = float(parts[1])
             im_part = float(parts[2])
         except ValueError:
@@ -107,10 +103,7 @@ def _loads_json(text: str) -> StateVector:
         raise ValueError(f"bad JSON state document: {exc}") from None
     if not isinstance(doc, dict) or "qubits" not in doc or "amplitudes" not in doc:
         raise ValueError("JSON state document needs 'qubits' and 'amplitudes'")
-    n = doc["qubits"]
-    if type(n) is not int or n < 1:  # not a bool, which is an int
-        raise ValueError(f"bad qubit count {n!r}")
-    check_qubit_count(n)
+    n = check_qubit_count(doc["qubits"])
     pairs = doc["amplitudes"]
     if not isinstance(pairs, list) or len(pairs) != (1 << n):
         raise ValueError(

@@ -5,8 +5,8 @@ Amplitude index i spells the bit string b1 b2 ... bn with qubit 1 as the
 most significant bit, so the amplitude of |b1...bn> sits at
 sum(b_k * 2**(n-k)).  States are deliberately kept unnormalized: every
 detection test in this package is invariant under global rescaling, and
-projected states come out unnormalized anyway.  Every qubit number, label
-and bit given as a number is read through ``as_int``.
+projected states come out unnormalized anyway.  One integer rule reads
+every qubit count, number, label and bit: ``as_int``, or ``int_text`` for text.
 
 Losing qubit k adds, for every remaining bit pattern, the two amplitudes
 that differ only in qubit k's bit: viewed as an array of shape
@@ -42,20 +42,33 @@ DEFAULT_ZERO_RTOL = 1e-12
 
 
 def as_int(value) -> int:
-    """A qubit number, label or bit as an int; Python and NumPy integers
-    pass, anything else (a float included) raises ValueError."""
+    """A qubit count, number, label or bit as an int; Python and NumPy
+    integers pass, anything else (a bool, a float, text) raises ValueError."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # True is an int to ``operator.index``
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"qubit numbers, labels and bits must be integers, got {value!r}") from None
+        pass
+    raise ValueError(f"qubit numbers, labels and bits must be integers, got {value!r}")
 
 
-def check_qubit_count(num_qubits: int) -> None:
-    """Raise ValueError above MAX_QUBITS; call it before allocating."""
-    if num_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"{num_qubits} qubits exceeds the limit of MAX_QUBITS = {MAX_QUBITS}"
-        )
+def int_text(text: str) -> int:
+    """``as_int`` for text: ASCII digits alone, no sign, underscore or space."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"an integer in text must be ASCII digits alone, got {text!r}")
+
+
+def check_qubit_count(num_qubits) -> int:
+    """The count as an int if ``as_int`` reads it in 1..MAX_QUBITS; call before allocating."""
+    try:
+        if 1 <= (n := as_int(num_qubits)) <= MAX_QUBITS:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(
+        f"qubit count must be an integer in 1..MAX_QUBITS = {MAX_QUBITS}, got {num_qubits!r}"
+    )
 
 
 class StateVector:
@@ -64,8 +77,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound")
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
-        if num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {num_qubits}")
+        num_qubits = check_qubit_count(num_qubits)
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size != 1 << num_qubits:
             raise ValueError(
@@ -146,13 +158,10 @@ class StateVector:
 
 def basis_index(bits, num_qubits: int | None = None) -> int:
     """Index of the basis state |b1...bn>, qubit 1 most significant."""
-    if isinstance(bits, str):
-        seq = [int(c) for c in bits]
-    else:
-        seq = [as_int(b) for b in bits]
+    seq = list(map(int_text if isinstance(bits, str) else as_int, bits))
     if any(b not in (0, 1) for b in seq):
         raise ValueError(f"bits must be 0/1, got {bits!r}")
-    if num_qubits is not None and len(seq) != num_qubits:
+    if num_qubits is not None and len(seq) != as_int(num_qubits):
         raise ValueError(f"expected {num_qubits} bits, got {len(seq)}")
     idx = 0
     for b in seq:
@@ -162,8 +171,7 @@ def basis_index(bits, num_qubits: int | None = None) -> int:
 
 def basis_state(bits) -> StateVector:
     """The computational basis state |b1...bn>."""
-    seq = bits if not isinstance(bits, str) else list(bits)
-    n = len(seq)
+    n = check_qubit_count(len(bits))
     amps = np.zeros(1 << n, dtype=complex)
     amps[basis_index(bits, n)] = 1.0
     return StateVector(n, amps)
@@ -239,6 +247,7 @@ class Bipartition:
 
     @classmethod
     def from_block(cls, num_qubits: int, block_a: Iterable[int]) -> "Bipartition":
+        num_qubits = as_int(num_qubits)
         a = tuple(sorted(as_int(q) for q in block_a))
         if not all(1 <= q <= num_qubits for q in a):
             raise ValueError(f"labels {a} out of range for {num_qubits} qubits")
@@ -284,6 +293,7 @@ def unfold(state: StateVector, partition) -> np.ndarray:
 
 def all_bipartitions(num_qubits: int) -> Iterator[Bipartition]:
     """All 2^(n-1) - 1 bipartitions of qubits 1..n, block A containing qubit 1."""
+    num_qubits = as_int(num_qubits)
     if num_qubits < 2:
         raise ValueError("bipartitions need at least two qubits")
     rest = list(range(2, num_qubits + 1))
@@ -373,7 +383,7 @@ def lose_qubit_set(state: StateVector, qubits: Iterable[int]) -> StateVector:
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
     """Dense state with independent complex-Gaussian amplitudes."""
-    d = 1 << num_qubits
+    d = 1 << check_qubit_count(num_qubits)
     return StateVector(num_qubits, rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 

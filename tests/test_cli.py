@@ -190,6 +190,9 @@ class _NoAllocation:
         raise AssertionError(f"numpy.{name} reached before the qubit limit")
 
 
+_NOT_ASCII = "a text state document must be ASCII with no underscore"
+
+
 class TestInputGuards:
     def test_nan_tolerance_exits_three(self, capsys, tmp_path):
         # Fully product |0000>(|0>+|1>): NaN made every leaf read entangled.
@@ -268,9 +271,21 @@ class TestInputGuards:
         (("detect", "--catalog", "W", "--n", "1"), "W needs at least two qubits"),
         (("detect", "--catalog", "DICKE(5)", "--n", "3"), "invalid Dicke parameters n=3, k=5"),
         (("detect", "--catalog", "DICKE(1)"), "DICKE(k) needs an explicit qubit count"),
+        # Integers in text are ASCII digits alone: no other script, sign or underscore.
+        (("detect", "--catalog", "GHZ", "--n", "٣"), "expected a qubit count >= 1, got '٣'"),
+        (("detect", "--catalog", "GHZ", "--n", "+3"), "expected a qubit count >= 1, got '+3'"),
+        (("detect", "--catalog", "GHZ", "--n", "3.0"), "expected a qubit count >= 1, got '3.0'"),
+        (("detect", "--catalog", "PHI4", "--n", "0"), "expected a qubit count >= 1, got '0'"),
+        (("project", "--catalog", "GHZ", "--n", "3", "--lose", "١"), "K[,K2,...]"),
+        (("project", "--catalog", "GHZ", "--n", "3", "--lose", "1, 2"), "K[,K2,...]"),
+        (("selftest", "--trials", "٢"), "expected a positive trial count, got '٢'"),
+        (("selftest", "--seed", "1_0"), "expected a seed >= 0, got '1_0'"),
+        (("detect", "--catalog", "DICKE(٢)", "--n", "4"), "unknown catalog state 'DICKE(٢)'"),
     ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number",
             "lose-repeated", "lose-empty-entry", "seed-negative", "trials-not-a-number",
-            "ghz-1", "w-1", "dicke-k-above-n", "dicke-without-n"])
+            "ghz-1", "w-1", "dicke-k-above-n", "dicke-without-n", "n-arabic-indic",
+            "n-signed", "n-float", "n-0", "lose-arabic-indic", "lose-space", "trials-arabic-indic",
+            "seed-underscore", "dicke-arabic-indic"])
     def test_argument_value_exits_three(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -282,10 +297,27 @@ class TestInputGuards:
         ("oracle", "qubits: 1\n0 1 0\n", "need at least two qubits"),
         ("detect", '{"qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]}',
          "amplitude 0 is not a [re, im] pair"),
-    ], ids=["oracle-one-qubit", "json-triple"])
+        ("detect", "qubits: 0\n",
+         f"qubit count must be an integer in 1..MAX_QUBITS = {MAX_QUBITS}, got 0"),
+        ("detect", "qubits: +2\n0 1 0\n",
+         "an integer in text must be ASCII digits alone, got '+2'"),
+        ("detect", "qubits: 2\n+0 1 0\n", "unparsable amplitude line '+0 1 0'"),
+        ("detect", '{"qubits": 2.0, "amplitudes": []}',
+         f"qubit count must be an integer in 1..MAX_QUBITS = {MAX_QUBITS}, got 2.0"),
+        # float() reads other scripts' digits and underscores, so a text
+        # document with either is refused whole.
+        ("detect", "qubits: ٢\n0 1 0\n", _NOT_ASCII),
+        ("detect", "qubits: 2\n٠ 1 0\n", _NOT_ASCII),
+        ("detect", "qubits: 2\n0_3 1 0\n", _NOT_ASCII),
+        ("detect", "qubits: 2\n0 ١.٥ 0\n", _NOT_ASCII),
+        ("detect", "qubits: 2\n0 1_0 0\n", _NOT_ASCII),
+    ], ids=["oracle-one-qubit", "json-triple", "text-count-0", "text-count-signed",
+            "text-index-signed", "json-count-float", "text-count-arabic-indic",
+            "text-index-arabic-indic", "text-index-underscore", "text-part-arabic-indic",
+            "text-part-underscore"])
     def test_state_file_exits_three(self, capsys, tmp_path, command, document, message):
         path = tmp_path / "in.state"
-        path.write_text(document)
+        path.write_text(document, encoding="utf-8")
         code, out, err = run(capsys, command, "--file", str(path))
         assert code == 3
         assert out == ""
@@ -502,6 +534,14 @@ class TestSelftest:
         assert code == 4
         assert any(line.startswith("  ") for line in out.splitlines())
 
+    def test_dense_disagreement_exits_four(self, capsys, monkeypatch):
+        # An oracle that calls everything a product contradicts every dense
+        # state the detector certifies.
+        monkeypatch.setattr(qubitloss.cli, "oracle_genuine", lambda state, tol: False)
+        code, out, err = run(capsys, "selftest", "--trials", "2", "--seed", "1")
+        assert (code, err) == (4, "")
+        assert "  detector and oracle disagree on a dense state" in out.splitlines()
+
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -561,7 +601,7 @@ class TestMisc:
 _TOKENS = (
     "", " ", "\n", "0", "-1", "1.5", "3", "10", "99", "9" * 400, "1e999",
     "NaN", "Infinity", "null", "true", '"1"', "[", "]", "{", "}", ",", ":",
-    "qubits", "0x1", "[" * 100000,
+    "qubits", "0x1", "[" * 100000, "+2", "1_0", "٢",
 )
 
 # Written to a file and read back in text mode, "\r" would become "\n".
@@ -605,3 +645,58 @@ def test_a_rejected_state_document_is_one_error_line(text):
     assert code == 3
     assert out.getvalue() == ""
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+# Argument vectors: a subcommand, then flags of every subcommand in any
+# order, each with a value that fits it or one from a pool of odd text.  No
+# count reaches past 8 qubits and selftest always ends on --trials of at
+# most 3, so no draw runs long.
+_ARGV_VALUES = {
+    "--catalog": ("GHZ", "W", "DICKE(2)", "DICKE(٢)", "PHI4", "WCLASS_3Q", "NOPE"),
+    "--n": ("1", "2", "3", "5", "8"),
+    "--tol": ("0", "1e-9", "0.5"),
+    "--lose": ("1", "3", "1,2", "2,,3", "9"),
+    "--seed": ("0", "7"),
+    "--trials": ("0", "1", "3"),
+}
+_ARGV_SWITCHES = ("--json", "--timing", "--exhaustive", "--all", "--compare", "--help", "-x")
+_ARGV_ODD = ("", " ", "-1", "+2", "1_0", "٣", "²", "2.0", "nan", "1e999", "1, 2")
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths to small text and JSON states, a bad text file and a missing file."""
+    root = tmp_path_factory.mktemp("argv")
+    documents = {
+        "ghz.state": dumps_state(ghz(3)),
+        "w.json": dumps_state(w_state(3), "json"),
+        "product.state": dumps_state(product_state([((1,), basis_state("0")), ((2, 3), ghz(2))])),
+        "arabic-indic.state": "qubits: ٢\n0 1 0\n",
+    }
+    for name, text in documents.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return tuple(str(root / name) for name in (*documents, "missing.state"))
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_a_verdict_or_one_error_line(argv_files, data):
+    values = {**_ARGV_VALUES, "--file": argv_files}
+    pair = st.sampled_from(sorted(values)).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from(values[flag]) | st.sampled_from(_ARGV_ODD)))
+    items = data.draw(st.lists(pair | st.sampled_from(_ARGV_SWITCHES + _ARGV_ODD).map(
+        lambda token: (token,)), max_size=5))
+    command = data.draw(st.sampled_from(
+        ("detect", "project", "measure", "tables", "oracle", "selftest")))
+    argv = [command, *(token for item in items for token in item)]
+    if command == "selftest":
+        argv += ["--trials", data.draw(st.sampled_from(("1", "2", "3")))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5)
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qubitloss import (
+    MAX_QUBITS,
     Bipartition,
     StateVector,
     all_bipartitions,
@@ -291,7 +292,9 @@ class TestStateFiles:
     def test_text_roundtrip(self, rng, tmp_path):
         s = random_state(rng, 4)
         path = tmp_path / "state.txt"
-        path.write_text(dumps_state(s, "text"))
+        text = dumps_state(s, "text")
+        assert text.isascii() and "_" not in text  # what the reader demands
+        path.write_text(text)
         np.testing.assert_array_equal(load_state(path).amplitudes, s.amplitudes)
 
     def test_json_roundtrip(self, rng):
@@ -362,33 +365,71 @@ class TestStateFiles:
     (lambda: Bipartition((1, 1), (2,)), "blocks contain repeated labels"),
     (lambda: Bipartition.from_block(3, (4,)), "labels (4,) out of range for 3 qubits"),
     (lambda: list(all_bipartitions(1)), "bipartitions need at least two qubits"),
+    (lambda: product_state([((1, 2), basis_state("0"))]),
+     "factor on (1, 2) has 1 qubits, expected 2"),
     (lambda: max_cross_minor([], []), "vectors must have at least one entry"),
     (lambda: family_proportional([[1, 2], [1]]), "family vectors must all have the same length"),
     (lambda: ppt_2qubit(np.zeros((4, 4))), "density matrix trace must be positive, got 0j"),
 ], ids=["format", "bits", "bit-count", "labels", "repeated", "out-of-range",
-        "bipartitions", "empty-minor", "family-lengths", "trace"])
+        "bipartitions", "factor-size", "empty-minor", "family-lengths", "trace"])
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("call, bad", [
-    (lambda: lose_qubit_set(w_state(4), [1.5]), "1.5"),
-    (lambda: lose_qubit(ghz(3), 1.0), "1.0"),
-    (lambda: Bipartition.from_block(3, [1.5]), "1.5"),
-    (lambda: Bipartition((1.5,), (2,)), "1.5"),
-    (lambda: unfold(ghz(3), [2.9]), "2.9"),
-    (lambda: partial_trace(ghz(3), (1.7,)), "1.7"),
-    (lambda: basis_state([0.7, 1]), "0.7"),
-    (lambda: product_state([((1.5,), basis_state("0")), ((1,), basis_state("1"))]), "1.5"),
+def _not_an_integer(bad):
+    return f"qubit numbers, labels and bits must be integers, got {bad}"
+
+
+def _not_a_count(bad):
+    return f"qubit count must be an integer in 1..MAX_QUBITS = {MAX_QUBITS}, got {bad}"
+
+
+def _not_digits(bad):
+    return f"an integer in text must be ASCII digits alone, got {bad}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lose_qubit_set(w_state(4), [1.5]), _not_an_integer("1.5")),
+    (lambda: lose_qubit(ghz(3), 1.0), _not_an_integer("1.0")),
+    (lambda: Bipartition.from_block(3, [1.5]), _not_an_integer("1.5")),
+    (lambda: Bipartition((1.5,), (2,)), _not_an_integer("1.5")),
+    (lambda: unfold(ghz(3), [2.9]), _not_an_integer("2.9")),
+    (lambda: partial_trace(ghz(3), (1.7,)), _not_an_integer("1.7")),
+    (lambda: basis_state([0.7, 1]), _not_an_integer("0.7")),
+    (lambda: product_state([((1.5,), basis_state("0")), ((1,), basis_state("1"))]),
+     _not_an_integer("1.5")),
+    # A bool is not an integer here, though Python calls it one.
+    (lambda: lose_qubit(ghz(3), True), _not_an_integer("True")),
+    (lambda: Bipartition.from_block(3.0, (1,)), _not_an_integer("3.0")),
+    (lambda: list(all_bipartitions(3.0)), _not_an_integer("3.0")),
+    (lambda: basis_index("10", 2.0), _not_an_integer("2.0")),
+    (lambda: dicke(4, 2.0), _not_an_integer("2.0")),
+    # Qubit counts, which must also lie in 1..MAX_QUBITS.
+    (lambda: ghz(3.0), _not_a_count("3.0")),
+    (lambda: w_state(3.0), _not_a_count("3.0")),
+    (lambda: dicke(4.0, 2), _not_a_count("4.0")),
+    (lambda: named_state("GHZ", 3.0), _not_a_count("3.0")),
+    (lambda: StateVector(2.0, [1, 0, 0, 1]), _not_a_count("2.0")),
+    (lambda: StateVector(True, [1, 0]), _not_a_count("True")),
+    (lambda: StateVector(0, [1]), _not_a_count("0")),
+    (lambda: random_state(np.random.default_rng(0), 2.5), _not_a_count("2.5")),
+    (lambda: basis_state(""), _not_a_count("0")),
+    # Text: ASCII digits alone, not another script's digits.
+    (lambda: basis_state("١٠"), _not_digits("'١'")),
+    (lambda: basis_index("1٠", 2), _not_digits("'٠'")),
 ], ids=["lose-set", "lose", "from-block", "bipartition", "unfold", "partial-trace",
-        "basis-state", "product-state"])
-def test_non_integer_qubit_numbers_are_rejected(call, bad):
+        "basis-state", "product-state", "lose-bool", "from-block-count",
+        "bipartitions-count", "basis-index-count", "dicke-excitations", "ghz-count",
+        "w-count", "dicke-count", "named-state-count", "state-vector-count",
+        "state-vector-bool-count", "state-vector-no-qubits", "random-state-count",
+        "basis-state-no-bits", "basis-state-arabic-indic", "basis-index-arabic-indic"])
+def test_non_integer_qubit_numbers_are_rejected(call, message):
     # int() used to truncate these, so 1.5 silently named qubit 1.
     with pytest.raises(ValueError) as exc:
         call()
-    assert str(exc.value) == f"qubit numbers, labels and bits must be integers, got {bad}"
+    assert str(exc.value) == message
 
 
 def test_numpy_integers_are_qubit_numbers():
@@ -397,3 +438,6 @@ def test_numpy_integers_are_qubit_numbers():
     assert np.array_equal(lose_qubit_set(w_state(4), [k, 3]).amplitudes, [1, 0.5, 0.5, 0])
     assert str(Bipartition.from_block(3, [np.int32(2)])) == "{2}|{1,3}"
     assert basis_state([np.int8(1), 0]).amplitude("10") == 1
+    # A NumPy qubit count is read as a Python int.
+    assert type(StateVector(np.int64(2), [1, 0, 0, 1]).num_qubits) is int
+    assert np.array_equal(ghz(np.int32(3)).amplitudes, ghz(3).amplitudes)
