@@ -1,6 +1,8 @@
 """Command line surface.
 
-Subcommands: detect, project, measure, tables, oracle, selftest.
+Subcommands: detect, project, measure, tables, oracle, selftest.  Each is
+declared once, in ``_COMMANDS``, with the flags it reads (their specs are
+in ``_FLAGS``); ``build_parser`` is one loop over that table.
 
 Exit codes
     0  certified genuinely entangled (detect/measure/oracle: genuine)
@@ -80,7 +82,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    try:
+    try:  # float() would read "١" as 1.0, "1_0" as 10.0 and " 1e-3" as 1e-3
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(f"a tolerance must be ASCII with no underscore or space, got {text!r}")
         return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -111,6 +115,7 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
+# Every flag's argparse spec; ``_COMMANDS`` gives each subcommand the ones it reads.
 _FLAGS = {
     "--file": dict(metavar="PATH", help="state file (text or JSON format)"),
     "--catalog": dict(metavar="NAME", help=f"catalog state; one of {', '.join(CATALOG_KEYS)}"),
@@ -125,18 +130,19 @@ _FLAGS = {
         action="store_true",
         help="include wall time in the JSON report (breaks byte-for-byte determinism)",
     ),
+    "--exhaustive": dict(
+        action="store_true", help="explore every projection and report the per-projection row"
+    ),
+    "--lose": dict(type=_qubit_list, metavar="K[,K2,...]", help="qubit(s) to lose, 1-based"),
+    "--all": dict(action="store_true", help="print all n single-qubit projections"),
+    "--compare": dict(action="store_true", help="also run the detector and diff verdicts"),
+    "--seed": dict(type=_int_at_least(0, "a seed >= 0"), default=0, help="RNG seed (default 0)"),
+    "--trials": dict(type=_int_at_least(1, "a positive trial count"), default=200,
+                     help="number of trials (default 200)"),
 }
 
 
-def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register the named flags; each command takes only those it reads."""
-    for name in names:
-        parser.add_argument(name, **_FLAGS[name])
-
-
 def _load_input(args) -> tuple[StateVector, str]:
-    if (args.file is None) == (args.catalog is None):
-        raise ValueError("provide exactly one of --file or --catalog")
     if args.file is not None:
         if args.n is not None:
             raise ValueError("--n applies to --catalog states, not to --file")
@@ -438,6 +444,25 @@ def _write(stream, text: str) -> None:
         raise
 
 
+# Each subcommand once: its function, its help line and the flags it reads,
+# in help order; a tuple of flags is a required exactly-one-of group.
+_STATE_INPUT = (("--file", "--catalog"), "--n")
+_COMMANDS = {
+    "detect": (cmd_detect, "classify a state, emitting a certificate",
+               (*_STATE_INPUT, "--tol", "--json", "--timing", "--exhaustive")),
+    "project": (cmd_project, "apply the qubit-loss projection",
+                (*_STATE_INPUT, "--json", ("--lose", "--all"))),
+    "measure": (cmd_measure, "count certified-genuine projections",
+                (*_STATE_INPUT, "--tol", "--json", "--timing")),
+    "tables": (cmd_tables, "recompute the built-in survey/comparison tables and verify them",
+               ("--tol", "--json")),
+    "oracle": (cmd_oracle, "brute-force bipartition-rank ground truth",
+               (*_STATE_INPUT, "--tol", "--json", "--timing", "--compare")),
+    "selftest": (cmd_selftest, "randomized soundness/agreement sweep",
+                 ("--tol", "--json", "--seed", "--trials")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qubitloss",
@@ -448,52 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"qubitloss {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("detect", help="classify a state, emitting a certificate")
-    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
-    p.add_argument(
-        "--exhaustive", action="store_true",
-        help="explore every projection and report the per-projection row",
-    )
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("project", help="apply the qubit-loss projection")
-    _flags(p, "--file", "--catalog", "--n", "--json")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument(
-        "--lose", type=_qubit_list, metavar="K[,K2,...]", help="qubit(s) to lose, 1-based"
-    )
-    which.add_argument("--all", action="store_true", help="print all n single-qubit projections")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("measure", help="count certified-genuine projections")
-    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser(
-        "tables", help="recompute the built-in survey/comparison tables and verify them"
-    )
-    _flags(p, "--tol", "--json")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("oracle", help="brute-force bipartition-rank ground truth")
-    _flags(p, "--file", "--catalog", "--n", "--tol", "--json", "--timing")
-    p.add_argument(
-        "--compare", action="store_true", help="also run the detector and diff verdicts"
-    )
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("selftest", help="randomized soundness/agreement sweep")
-    _flags(p, "--tol", "--json")
-    p.add_argument(
-        "--seed", type=_int_at_least(0, "a seed >= 0"), default=0, help="RNG seed (default 0)"
-    )
-    p.add_argument(
-        "--trials", type=_int_at_least(1, "a positive trial count"), default=200,
-        help="number of trials (default 200)",
-    )
-    p.set_defaults(func=cmd_selftest)
-
+    for name, (func, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        for entry in flags:
+            one_of = isinstance(entry, tuple)
+            target = p.add_mutually_exclusive_group(required=True) if one_of else p
+            for flag in entry if one_of else (entry,):
+                target.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -18,12 +18,16 @@ DEFAULT_TOL = 1e-9
 
 
 def check_tolerance(tol: float) -> float:
-    """Return ``tol`` if it is finite and nonnegative, else raise ValueError.
+    """Return ``tol`` if it is a finite nonnegative Python or NumPy int or
+    float (not a bool), else raise ValueError.
 
     A NaN threshold makes every comparison false (every family reads
     entangled) and an infinite one makes every family proportional, so
-    either would fake a verdict.  Zero is allowed: exact arithmetic.
+    either would fake a verdict.  Zero is allowed: exact arithmetic.  A
+    bool is not a tolerance: ``True`` would run at 1.0.
     """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
@@ -89,6 +93,7 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
     The pivot is the member with the largest entry in modulus.  An
     all-zero family is proportional by convention.
     """
+    check_tolerance(tol)
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if len(vs) < 2:
         raise ValueError("a family needs at least two vectors")

@@ -30,7 +30,9 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, largest_modulus, pair_proportional, unit_scale
+from .proportional import (
+    DEFAULT_TOL, check_tolerance, largest_modulus, pair_proportional, unit_scale,
+)
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -54,9 +56,11 @@ def as_int(value) -> int:
 
 def int_text(text: str) -> int:
     """``as_int`` for text: ASCII digits alone, no sign, underscore or space."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise ValueError(f"an integer in text must be ASCII digits alone, got {text!r}")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"an integer in text must be ASCII digits alone, got {text!r}")
+    if len(text) > 4300:  # Python's default limit, which raises its own message
+        raise ValueError(f"an integer in text must have at most 4300 digits, got {len(text)}")
+    return int(text)
 
 
 def check_qubit_count(num_qubits) -> int:
@@ -217,6 +221,7 @@ def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) 
     rescaling either state.  Two zero states are equal; a zero and a
     nonzero state are not (lambda would have to vanish).
     """
+    check_tolerance(tol)
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"

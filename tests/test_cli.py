@@ -142,8 +142,10 @@ class TestDetectCommand:
         assert "unknown catalog" in err
 
     def test_requires_exactly_one_input(self, capsys):
-        code, _, err = run(capsys, "detect")
+        code, out, err = run(capsys, "detect")
         assert code == 3
+        assert out == ""
+        assert err == "qubitloss detect: error: one of the arguments --file --catalog is required\n"
 
     def test_usage_error_exits_three(self, capsys):
         code, _, err = run(capsys, "detect", "--n", "notanint", "--catalog", "GHZ")
@@ -262,6 +264,8 @@ class TestInputGuards:
         (("selftest", "--trials", "-5"), "trial count"),
         (("project", "--catalog", "GHZ", "--n", "3", "--all", "--lose", "1"),
          "not allowed with"),
+        (("detect", "--file", "x.state", "--catalog", "GHZ"),
+         "argument --catalog: not allowed with argument --file"),
         (("project", "--catalog", "GHZ", "--n", "3", "--lose", "a"), "K[,K2,...]"),
         (("project", "--catalog", "GHZ", "--n", "4", "--lose", "1,1"), "repeated"),
         (("project", "--catalog", "GHZ", "--n", "4", "--lose", ",,1"), "K[,K2,...]"),
@@ -281,11 +285,19 @@ class TestInputGuards:
         (("selftest", "--trials", "٢"), "expected a positive trial count, got '٢'"),
         (("selftest", "--seed", "1_0"), "expected a seed >= 0, got '1_0'"),
         (("detect", "--catalog", "DICKE(٢)", "--n", "4"), "unknown catalog state 'DICKE(٢)'"),
-    ], ids=["trials-0", "trials-negative", "all-with-lose", "lose-not-a-number",
-            "lose-repeated", "lose-empty-entry", "seed-negative", "trials-not-a-number",
+        # float() reads other scripts' digits, underscores and surrounding space too.
+        *((("detect", "--catalog", "GHZ", "--n", "5", "--tol", tol),
+           f"a tolerance must be ASCII with no underscore or space, got {tol!r}")
+          for tol in ("١", "1_0", "٠.٥", " 1e-3")),
+        (("detect", "--catalog", "DICKE(" + "9" * 5000 + ")", "--n", "4"),
+         "an integer in text must have at most 4300 digits, got 5000"),
+    ], ids=["trials-0", "trials-negative", "all-with-lose", "file-with-catalog",
+            "lose-not-a-number", "lose-repeated", "lose-empty-entry", "seed-negative",
+            "trials-not-a-number",
             "ghz-1", "w-1", "dicke-k-above-n", "dicke-without-n", "n-arabic-indic",
             "n-signed", "n-float", "n-0", "lose-arabic-indic", "lose-space", "trials-arabic-indic",
-            "seed-underscore", "dicke-arabic-indic"])
+            "seed-underscore", "dicke-arabic-indic", "tol-arabic-indic", "tol-underscore",
+            "tol-arabic-indic-point", "tol-space", "dicke-5000-digits"])
     def test_argument_value_exits_three(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -311,10 +323,12 @@ class TestInputGuards:
         ("detect", "qubits: 2\n0_3 1 0\n", _NOT_ASCII),
         ("detect", "qubits: 2\n0 ١.٥ 0\n", _NOT_ASCII),
         ("detect", "qubits: 2\n0 1_0 0\n", _NOT_ASCII),
+        ("detect", "qubits: " + "9" * 5000 + "\n",
+         "an integer in text must have at most 4300 digits, got 5000"),
     ], ids=["oracle-one-qubit", "json-triple", "text-count-0", "text-count-signed",
             "text-index-signed", "json-count-float", "text-count-arabic-indic",
             "text-index-arabic-indic", "text-index-underscore", "text-part-arabic-indic",
-            "text-part-underscore"])
+            "text-part-underscore", "text-count-5000-digits"])
     def test_state_file_exits_three(self, capsys, tmp_path, command, document, message):
         path = tmp_path / "in.state"
         path.write_text(document, encoding="utf-8")
@@ -647,10 +661,25 @@ def test_a_rejected_state_document_is_one_error_line(text):
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
+def _command_flags(command):
+    """The flags ``_COMMANDS`` gives a subcommand, its exactly-one-of groups flattened."""
+    return [flag for entry in qubitloss.cli._COMMANDS[command][2]
+            for flag in (entry if isinstance(entry, tuple) else (entry,))]
+
+
+def test_readme_flag_table_names_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.M))
+    assert sorted(rows) == sorted(qubitloss.cli._COMMANDS)
+    for command, row in rows.items():
+        assert sorted(re.findall(r"--\w+", row)) == sorted(_command_flags(command)), command
+
+
 # Argument vectors: a subcommand, then flags of every subcommand in any
 # order, each with a value that fits it or one from a pool of odd text.  No
 # count reaches past 8 qubits and selftest always ends on --trials of at
-# most 3, so no draw runs long.
+# most 3, so no draw runs long.  Commands and flags are read from the CLI's
+# own table, so a new flag cannot go unfuzzed.
 _ARGV_VALUES = {
     "--catalog": ("GHZ", "W", "DICKE(2)", "DICKE(٢)", "PHI4", "WCLASS_3Q", "NOPE"),
     "--n": ("1", "2", "3", "5", "8"),
@@ -659,7 +688,8 @@ _ARGV_VALUES = {
     "--seed": ("0", "7"),
     "--trials": ("0", "1", "3"),
 }
-_ARGV_SWITCHES = ("--json", "--timing", "--exhaustive", "--all", "--compare", "--help", "-x")
+_ARGV_SWITCHES = (*(flag for flag, spec in qubitloss.cli._FLAGS.items()
+                    if spec.get("action") == "store_true"), "--help", "-x")
 _ARGV_ODD = ("", " ", "-1", "+2", "1_0", "٣", "²", "2.0", "nan", "1e999", "1, 2")
 
 
@@ -682,12 +712,13 @@ def argv_files(tmp_path_factory):
 @given(data=st.data())
 def test_every_argv_ends_in_a_verdict_or_one_error_line(argv_files, data):
     values = {**_ARGV_VALUES, "--file": argv_files}
+    assert sorted(values) == sorted(flag for flag, spec in qubitloss.cli._FLAGS.items()
+                                    if spec.get("action") != "store_true")
     pair = st.sampled_from(sorted(values)).flatmap(lambda flag: st.tuples(
         st.just(flag), st.sampled_from(values[flag]) | st.sampled_from(_ARGV_ODD)))
     items = data.draw(st.lists(pair | st.sampled_from(_ARGV_SWITCHES + _ARGV_ODD).map(
         lambda token: (token,)), max_size=5))
-    command = data.draw(st.sampled_from(
-        ("detect", "project", "measure", "tables", "oracle", "selftest")))
+    command = data.draw(st.sampled_from(tuple(qubitloss.cli._COMMANDS)))
     argv = [command, *(token for item in items for token in item)]
     if command == "selftest":
         argv += ["--trials", data.draw(st.sampled_from(("1", "2", "3")))]

@@ -16,6 +16,7 @@ from qubitloss import (
     SweepReport,
     TraceReport,
     VerdictKind,
+    all_factorizations,
     all_projections,
     basis_state,
     detect,
@@ -23,7 +24,10 @@ from qubitloss import (
     detect_with_trace,
     dicke,
     entanglement_measure,
+    equal_up_to_scale,
     example3_4q,
+    family_proportional,
+    find_product_cut,
     ghz,
     oracle_genuine,
     pair_proportional,
@@ -31,6 +35,7 @@ from qubitloss import (
     product_state,
     random_state,
     replay_certificate,
+    sufficient_3q,
     unfold,
     w_state,
     wclass_3q,
@@ -419,11 +424,55 @@ class TestIncompleteness:
             assert not detect_base(res.state).genuinely_entangled
 
 
+def _complex_gaussian(rng, size=None):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+# Two classes of products and near-products that the walk certifies genuine
+# today, pinned until a certified radius replaces the tolerance's three
+# meanings: ROADMAP open item 1.
+_ITEM_1 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: near-products are certified genuine")
+
+
+class TestSoundnessItem1:
+    @_ITEM_1
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("delta", [1e-8, 1e-10])
+    def test_near_cancelling_product_is_never_genuine(self, delta, n, seed):
+        # c (x) c' (x) r with c = (a, -a(1 + delta)): losing qubit 1 or 2
+        # leaves rounding noise of relative size ~u/delta.
+        rng = np.random.default_rng(seed)
+        a, b = _complex_gaussian(rng), _complex_gaussian(rng)
+        s = product_state([
+            ((1,), StateVector(1, [a, -a * (1 + delta)])),
+            ((2,), StateVector(1, [b, -b * (1 + delta)])),
+            (tuple(range(3, n + 1)), random_state(rng, n - 2)),
+        ])
+        assert detect(s).kind is not VerdictKind.GENUINE
+
+    @_ITEM_1
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_noisy_minus_product_is_never_genuine(self, n, seed):
+        # |->^n plus 1e-13 noise, which the oracle calls a product.
+        minus = np.ones(1)
+        for _ in range(n):
+            minus = np.kron(minus, [1, -1])
+        noise = _complex_gaussian(np.random.default_rng(seed), 1 << n)
+        s = StateVector(n, minus / 2 ** (n / 2) + 1e-13 * noise)
+        assert detect(s).kind is not VerdictKind.GENUINE
+
+
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    # A bool would run at 1.0 or 0.0; text and complex values are not real.
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3, -1, True, False,
+                                     pytest.param(np.True_, id="numpy-True"), "1e-9", 1j])
     def test_bad_tolerance_rejected(self, tol):
         s = ghz(5)
         cert = detect(s).certificate
+        zero = StateVector(3, np.zeros(8))
         calls = (
             lambda: detect(s, tol=tol),
             lambda: entanglement_measure(s, tol=tol),
@@ -431,6 +480,12 @@ class TestTolerance:
             lambda: replay_certificate(s, cert, tol=tol),
             lambda: detect_base(ghz(3), tol=tol),
             lambda: pair_proportional([1, 0], [0, 1], tol=tol),
+            # Each of these used to return before it read the tolerance.
+            lambda: equal_up_to_scale(zero, ghz(3), tol=tol),
+            lambda: family_proportional([[0, 0], [0, 0]], tol=tol),
+            lambda: find_product_cut(s, tol=tol),
+            lambda: sufficient_3q(ghz(3), tol=tol),
+            lambda: all_factorizations(ghz(3), tol=tol),
         )
         for call in calls:
             with pytest.raises(ValueError, match="tolerance"):

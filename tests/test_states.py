@@ -356,6 +356,9 @@ class TestStateFiles:
             loads_state("qubits: 1\n0 1\n")
 
 
+_TOO_MANY_DIGITS = "an integer in text must have at most 4300 digits, got 5000"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: dumps_state(ghz(2), "xml"), "unknown state format 'xml'"),
     (lambda: basis_index("012"), "bits must be 0/1, got '012'"),
@@ -370,8 +373,12 @@ class TestStateFiles:
     (lambda: max_cross_minor([], []), "vectors must have at least one entry"),
     (lambda: family_proportional([[1, 2], [1]]), "family vectors must all have the same length"),
     (lambda: ppt_2qubit(np.zeros((4, 4))), "density matrix trace must be positive, got 0j"),
+    # More digits than int() reads from text by default.
+    (lambda: loads_state("qubits: " + "9" * 5000), _TOO_MANY_DIGITS),
+    (lambda: named_state("DICKE(" + "9" * 5000 + ")", 4), _TOO_MANY_DIGITS),
 ], ids=["format", "bits", "bit-count", "labels", "repeated", "out-of-range",
-        "bipartitions", "factor-size", "empty-minor", "family-lengths", "trace"])
+        "bipartitions", "factor-size", "empty-minor", "family-lengths", "trace",
+        "count-5000-digits", "dicke-5000-digits"])
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError) as exc:
         call()
