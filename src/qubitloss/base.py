@@ -1,7 +1,10 @@
-"""Every product test: the exact 2/3/4-qubit decisions and the walker's
-test of one cut on a larger state.
+"""Every product test: the exact 2/3/4-qubit decisions, the walker's
+test of one cut on a larger state, and the proportionality of vectors.
 
-A pure state is a product across a given bipartition exactly when the
+A family of vectors is proportional when some nonzero member scales onto
+every other one; ``family_proportional`` and ``pair_proportional`` decide
+it through 2x2 cross minors, so zero entries need no special casing.  A
+pure state is a product across a given bipartition exactly when the
 coefficient vectors obtained by grouping amplitudes over the first
 block's bit patterns are proportional.  For n <= 4 it suffices to test a
 fixed list of candidate splits: the single split for two qubits, the
@@ -19,13 +22,15 @@ any size by the same threshold rule against one pivot, the largest entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, List, Tuple
+from functools import lru_cache, reduce
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, check_tolerance, unit_scale
-from .states import Bipartition, StateVector, _matricize
+from .states import (
+    DEFAULT_TOL, Bipartition, StateVector, _matricize, check_tolerance, largest_modulus,
+    unit_scale,
+)
 
 # Candidate splits in reporting order: single-qubit blocks first, then
 # two-qubit blocks containing qubit 1.
@@ -50,7 +55,6 @@ class BaseVerdict:
     witness: FactorizationWitness | None = None
 
 
-@lru_cache(maxsize=None)
 def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
     """Amplitude index groups for a candidate split: the rows of the
     basis indices laid out as ``unfold`` lays out amplitudes.
@@ -133,6 +137,78 @@ def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> b
     # order, which complex multiplication need not ignore bitwise.
     minors[r] = 0.0
     return bool((minors <= tol * moduli[r, c] * moduli.max(axis=1)[:, None]).all())
+
+
+def max_cross_minor(u, v) -> float:
+    """Largest |u_i v_j - u_j v_i| over all index pairs.
+
+    Zero exactly when one vector is a scalar multiple of the other
+    (including the zero multiple).
+    """
+    u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+    if u.size != v.size:
+        raise ValueError(f"vector lengths differ: {u.size} vs {v.size}")
+    if u.size == 0:
+        raise ValueError("vectors must have at least one entry")
+    # Blocks of at most 2^16 minors keep memory flat in d; each minor keeps the
+    # operand order of u_i v_j - u_j v_i, so no bit depends on the block height.
+    height = max(1, (1 << 16) // u.size)
+    return float(reduce(np.maximum, (  # np.maximum, not max: NaN propagates
+        np.abs(np.outer(u[r : r + height], v) - np.outer(u, v[r : r + height]).T).max()
+        for r in range(0, u.size, height)
+    )))
+
+
+def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
+    """True when u and v are proportional within a relative tolerance.
+
+    The threshold scales with max|u| * max|v|, so the answer is invariant
+    under rescaling either vector; each is first scaled by ``unit_scale``
+    of its largest modulus, so the minors neither overflow nor underflow
+    at extreme scales.  A numerically zero vector counts as proportional
+    to anything (scaling factor zero).
+    """
+    check_tolerance(tol)
+    u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+    u, v = (x * unit_scale(largest_modulus(x)) for x in (u, v))
+    scale = largest_modulus(u) * largest_modulus(v)
+    return max_cross_minor(u, v) <= tol * scale
+
+
+def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
+    """True when every vector is proportional to a common nonzero pivot.
+
+    The pivot is the member with the largest entry in modulus.  An
+    all-zero family is proportional by convention.
+    """
+    check_tolerance(tol)
+    vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if len(vs) < 2:
+        raise ValueError("a family needs at least two vectors")
+    if any(v.size != vs[0].size for v in vs):
+        raise ValueError("family vectors must all have the same length")
+    maxes = [largest_modulus(v) for v in vs]
+    pivot = int(np.argmax(maxes))
+    if maxes[pivot] == 0.0:
+        return True
+    return all(
+        pair_proportional(vs[pivot], v, tol) for i, v in enumerate(vs) if i != pivot
+    )
+
+
+def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
+    """True when a = lambda * b for some nonzero complex lambda.
+
+    Decided by ``pair_proportional``, so the answer is invariant under
+    rescaling either state.  Two zero states are equal; a zero and a
+    nonzero state are not (lambda would have to vanish).
+    """
+    check_tolerance(tol)
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    return pair_proportional(a.amplitudes, b.amplitudes, tol)
 
 
 def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .base import all_factorizations
+from .base import all_factorizations, equal_up_to_scale
 from .catalog import CATALOG_KEYS, ghz, named_state, w_state
 from .detect import (
     Certificate,
@@ -41,13 +41,13 @@ from .detect import (
     format_certificate,
 )
 from .oracle import find_product_cut, oracle_genuine, partial_trace, ppt_2qubit
-from .proportional import DEFAULT_TOL, check_tolerance
 from .states import (
+    DEFAULT_TOL,
     Bipartition,
     StateVector,
     all_projections,
     basis_state,
-    equal_up_to_scale,
+    check_tolerance,
     int_text,
     lose_qubit,
     lose_qubit_set,

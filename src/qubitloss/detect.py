@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .base import CANDIDATE_SPLITS, FactorizationWitness, _product_across, detect_base
-from .proportional import DEFAULT_TOL, check_tolerance
-from .states import Bipartition, ProjectionOverflow, ProjectionResult, StateVector, lose_qubit
+from .states import (
+    DEFAULT_TOL, Bipartition, ProjectionOverflow, ProjectionResult, StateVector, check_tolerance,
+    lose_qubit,
+)
 
 
 class VerdictKind(str, enum.Enum):

@@ -17,8 +17,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .proportional import DEFAULT_TOL, check_tolerance, largest_modulus, unit_scale
-from .states import Bipartition, StateVector, all_bipartitions, as_int, unfold
+from .states import (
+    DEFAULT_TOL, Bipartition, StateVector, all_bipartitions, as_int, check_tolerance,
+    largest_modulus, unfold, unit_scale,
+)
 
 MAX_SCAN_QUBITS = 12
 

@@ -7,6 +7,8 @@ sum(b_k * 2**(n-k)).  States are deliberately kept unnormalized: every
 detection test in this package is invariant under global rescaling, and
 projected states come out unnormalized anyway.  One integer rule reads
 every qubit count, number, label and bit: ``as_int``, or ``int_text`` for text.
+``check_tolerance`` reads every tolerance, and ``largest_modulus`` (with
+``unit_scale``, its exact power of two) gives every scale and threshold.
 
 Losing qubit k adds, for every remaining bit pattern, the two amplitudes
 that differ only in qubit k's bit: viewed as an array of shape
@@ -23,16 +25,14 @@ renormalized, and one that vanishes counts as a product.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
-
-from .proportional import (
-    DEFAULT_TOL, check_tolerance, largest_modulus, pair_proportional, unit_scale,
-)
 
 # Largest state read from a file or built by name: 2^24 amplitudes take
 # 256 MiB, and the detector holds a few such arrays at once.
@@ -41,6 +41,8 @@ MAX_QUBITS = 24
 # A projection counts as vanished when its largest amplitude is at most this
 # fraction of the input's largest amplitude.  The rule is fixed.
 DEFAULT_ZERO_RTOL = 1e-12
+
+DEFAULT_TOL = 1e-9  # the relative tolerance of every test when none is given
 
 
 def as_int(value) -> int:
@@ -75,6 +77,48 @@ def check_qubit_count(num_qubits) -> int:
     )
 
 
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite nonnegative Python or NumPy int or
+    float (not a bool), else raise ValueError.
+
+    A NaN threshold makes every comparison false (every family reads
+    entangled) and an infinite one makes every family proportional, so
+    either would fake a verdict.  Zero is allowed: exact arithmetic.  A
+    bool is not a tolerance: ``True`` would run at 1.0.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def largest_modulus(values) -> float:
+    """Largest modulus of the entries, 0.0 for none; a modulus that overflows
+    while both its parts stay finite counts as the largest finite float."""
+    return min(float(np.abs(values).max(initial=0.0)), sys.float_info.max)
+
+
+def unit_scale(largest: float) -> float:
+    """The power of two 2^-e, with e the exponent of a ``largest_modulus``.
+
+    Scaling by it is exact and puts a modulus of ``largest`` in [0.5, 1),
+    so products of scaled entries neither overflow for huge vectors nor
+    underflow for tiny ones.  The clamp keeps 2^-e finite when ``largest``
+    is subnormal; zero gives 1.
+    """
+    return math.ldexp(1.0, -max(math.frexp(largest)[1], -1023))
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array of numbers: no bools or text, which NumPy's cast would read."""
+    a = np.asarray(values)  # an object array: ints past int64, or mixed types
+    if a.dtype.kind not in "iufc" and not (a.dtype.kind == "O" and all(
+            isinstance(x, numbers.Number) and not isinstance(x, bool) for x in a.flat)):
+        raise ValueError(f"amplitudes must be ints, floats or complex numbers, got dtype {a.dtype}")
+    return a
+
+
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""
 
@@ -82,7 +126,7 @@ class StateVector:
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         num_qubits = check_qubit_count(num_qubits)
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(_numbers(amplitudes), dtype=complex).reshape(-1)
         if amps.size != 1 << num_qubits:
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} "
@@ -122,7 +166,7 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build a state from a length-2^n vector, inferring n."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _numbers(amplitudes)
         n = amps.size.bit_length() - 1
         if amps.size != 1 << n or amps.size < 2:
             raise ValueError(f"length {amps.size} is not a power of two >= 2")
@@ -212,23 +256,6 @@ def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> State
     perm = [label_seq.index(q) for q in range(1, n + 1)]
     full = arr.reshape((2,) * n).transpose(perm).reshape(-1)
     return StateVector(n, full)
-
-
-def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
-    """True when a = lambda * b for some nonzero complex lambda.
-
-    Decided by ``pair_proportional``, so the answer is invariant under
-    rescaling either state.  Two zero states are equal; a zero and a
-    nonzero state are not (lambda would have to vanish).
-    """
-    check_tolerance(tol)
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
-        )
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    return pair_proportional(a.amplitudes, b.amplitudes, tol)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,17 @@ def test_mixed_pair_split_groupings_are_transposes():
     cols = [tuple(g) for g in coefficient_groups(4, (2, 3))]
     transposed = [tuple(row[j] for row in cols) for j in range(4)]
     assert rows == transposed
+
+
+def test_groups_are_not_kept_after_use():
+    # At n = 22 each split's index array takes 32 MiB; only the leaf's
+    # gather table, built from them once per qubit count, is cached.
+    rows = coefficient_groups(12, (1,))
+    assert not rows[0].flags.writeable
+    held = weakref.ref(rows[0].base)
+    del rows
+    gc.collect()
+    assert held() is None
 
 
 class TestTwoQubits:

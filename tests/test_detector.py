@@ -42,7 +42,7 @@ from qubitloss import (
 )
 from qubitloss.cli import main
 from qubitloss.oracle import numerical_rank
-from qubitloss.proportional import largest_modulus
+from qubitloss.states import largest_modulus
 from helpers import (
     hadamard_ghz,
     random_bipartition_blocks,
@@ -463,6 +463,16 @@ class TestSoundnessItem1:
         noise = _complex_gaussian(np.random.default_rng(seed), 1 << n)
         s = StateVector(n, minus / 2 ** (n / 2) + 1e-13 * noise)
         assert detect(s).kind is not VerdictKind.GENUINE
+
+    @_ITEM_1
+    def test_sufficient_3q_never_certifies_a_noisy_minus_product(self):
+        # |->^3 plus 1e-13 noise: detect and the oracle call all 100 seeds
+        # products, sufficient_3q certifies 8.  One test, not one per seed,
+        # so that the seeds it gets right cannot pass the strict marker.
+        minus = np.kron(np.kron([1, -1], [1, -1]), [1, -1]) / 2**1.5
+        for seed in range(100):
+            noise = _complex_gaussian(np.random.default_rng(seed), 8)
+            assert not sufficient_3q(StateVector(3, minus + 1e-13 * noise)).certified, seed
 
 
 class TestTolerance:

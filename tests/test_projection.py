@@ -23,7 +23,7 @@ from qubitloss import (
     w_state,
     wclass_3q,
 )
-from qubitloss.proportional import largest_modulus, unit_scale
+from qubitloss.states import largest_modulus, unit_scale
 from helpers import project_by_bits, random_partition_blocks, random_product
 
 

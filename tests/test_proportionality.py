@@ -15,7 +15,8 @@ from qubitloss import (
     product_state,
     random_state,
 )
-from qubitloss.states import StateVector, equal_up_to_scale
+from qubitloss.base import equal_up_to_scale
+from qubitloss.states import StateVector
 
 
 class TestPairs:

@@ -2,6 +2,7 @@
 of names stays fixed, and the walker module does no amplitude arithmetic."""
 
 import importlib
+import inspect
 import sys
 
 import pytest
@@ -44,3 +45,18 @@ def test_the_loss_lives_in_states():
     assert sys.modules["qubitloss.detect"].lose_qubit is states.lose_qubit
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("qubitloss.projection")
+
+
+def test_states_owns_the_rules_and_base_every_proportionality_test():
+    # The tolerance and magnitude rules sit beside the integer rule, in the
+    # module that imports nothing from the package.
+    with pytest.raises(ImportError):
+        importlib.import_module("qubitloss.proportional")
+    states, base = sys.modules["qubitloss.states"], sys.modules["qubitloss.base"]
+    assert "from ." not in inspect.getsource(states)
+    assert states.DEFAULT_TOL == 1e-9
+    for name in ("check_tolerance", "largest_modulus", "unit_scale"):
+        assert getattr(states, name).__module__ == "qubitloss.states", name
+    for name in ("max_cross_minor", "pair_proportional", "family_proportional",
+                 "equal_up_to_scale"):
+        assert getattr(qubitloss, name).__module__ == "qubitloss.base", name

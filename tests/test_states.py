@@ -75,6 +75,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 5
 
+    def test_numeric_amplitudes_of_any_kind_pass(self):
+        # Python and NumPy ints, floats and complex numbers, and ints past
+        # int64, which NumPy holds in an object array.
+        mixed = [1, 2.5, 3j, np.float32(0.5), np.int8(-2), np.complex64(1j), 2**70, 0]
+        want = [1, 2.5, 3j, 0.5, -2, 1j, 2.0**70, 0]
+        np.testing.assert_array_equal(StateVector(3, mixed).amplitudes, want)
+        np.testing.assert_array_equal(StateVector.from_amplitudes(mixed).amplitudes, want)
+
     def test_from_amplitudes_infers_count(self):
         assert StateVector.from_amplitudes([1, 0, 0, 1]).num_qubits == 2
         with pytest.raises(ValueError):
@@ -359,6 +367,10 @@ class TestStateFiles:
 _TOO_MANY_DIGITS = "an integer in text must have at most 4300 digits, got 5000"
 
 
+def _not_numbers(dtype):
+    return f"amplitudes must be ints, floats or complex numbers, got dtype {dtype}"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: dumps_state(ghz(2), "xml"), "unknown state format 'xml'"),
     (lambda: basis_index("012"), "bits must be 0/1, got '012'"),
@@ -376,9 +388,19 @@ _TOO_MANY_DIGITS = "an integer in text must have at most 4300 digits, got 5000"
     # More digits than int() reads from text by default.
     (lambda: loads_state("qubits: " + "9" * 5000), _TOO_MANY_DIGITS),
     (lambda: named_state("DICKE(" + "9" * 5000 + ")", 4), _TOO_MANY_DIGITS),
+    # NumPy's complex cast would read these as 10, 1, 1 and 1.
+    (lambda: StateVector(2, ["1_0", "0", "0", "1"]), _not_numbers("<U3")),
+    (lambda: StateVector(2, ["١", "0", "0", "1"]), _not_numbers("<U1")),
+    (lambda: StateVector(2, [" 1", "0", "0", "1 "]), _not_numbers("<U2")),
+    (lambda: StateVector(2, [True, False, False, True]), _not_numbers("bool")),
+    (lambda: StateVector(2, np.array(["1", 0, 0, 1], dtype=object)), _not_numbers("object")),
+    (lambda: StateVector.from_amplitudes(["1_0", "0", "0", "1"]), _not_numbers("<U3")),
+    (lambda: StateVector.from_amplitudes(np.ones(4, dtype=bool)), _not_numbers("bool")),
 ], ids=["format", "bits", "bit-count", "labels", "repeated", "out-of-range",
         "bipartitions", "factor-size", "empty-minor", "family-lengths", "trace",
-        "count-5000-digits", "dicke-5000-digits"])
+        "count-5000-digits", "dicke-5000-digits", "amp-underscore", "amp-arabic-digit",
+        "amp-spaces", "amp-bools", "amp-object-text", "from-amp-underscore",
+        "from-amp-bools"])
 def test_bad_argument_raises(call, message):
     with pytest.raises(ValueError) as exc:
         call()
