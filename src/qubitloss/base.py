@@ -12,18 +12,24 @@ three 1-vs-2 splits for three qubits, and the four 1-vs-3 plus three
 2-vs-2 splits for four qubits.  A state is genuinely entangled iff no
 candidate family is proportional.
 
-All candidate splits of a state are tested in one vectorized pass over a
-padded gather table, with the pivot and threshold rule of
-``family_proportional``, which stays as the reference the tests check
-the pass against.  ``_product_across`` tests one given cut of a state of
-any size by the same threshold rule against one pivot, the largest entry.
+One kernel, ``_proportional_masks``, tests every candidate split of a
+stack of states with one qubit count in one vectorized pass, with the
+pivot and threshold rule of ``family_proportional``, which stays as the
+reference the tests check the kernel against.  It gathers from flat
+tables, built from ``coefficient_groups`` on first use of a qubit count,
+which list each group and, for each ordered pair of groups of a split,
+the cross minors between them.  ``detect_base`` calls it on one state;
+``detect.replay_certificate`` calls it once for all of a certificate's
+leaves of each size.  ``_product_across`` tests one given cut of a state
+of any size by the same threshold rule against one pivot, the largest
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -71,56 +77,94 @@ def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.nd
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _split_table(num_qubits: int) -> np.ndarray:
-    """Gather table of shape (splits, rows, cols) for the candidate splits.
+class _LeafTables(NamedTuple):
+    """Flat gather tables for the candidate splits of one qubit count.
 
-    Entry [s, r] lists group r of split s as ``coefficient_groups`` gives
-    it.  Shorter groups and missing rows are padded with index 2^n, which
-    points at one zero appended to the amplitudes, so padding adds only
-    zero entries and zero minors.
+    Groups are numbered split by split, in ``coefficient_groups`` order.
+    ``members`` lists every group's indices in turn, the group g starting
+    at ``group_starts[g]``.  For every ordered pair (p, v) of distinct
+    groups of a split, p-major, and every column pair i < j, one of the K
+    minors: minor k is ``x[left[k]] * x[right[k]] - x[left[K + k]] *
+    x[right[K + k]]``, that is p_i v_j - p_j v_i, between groups
+    ``pivot[k]`` and ``other[k]``; the minors with pivot g start at
+    ``pivot_starts[g]``.  Row s of ``split_groups`` lists split s's
+    groups, padded with its first, which ``argmax`` (the first maximum)
+    never takes from the padding.
     """
-    splits = [coefficient_groups(num_qubits, block) for block in CANDIDATE_SPLITS[num_qubits]]
-    rows = max(len(groups) for groups in splits)
-    cols = max(groups[0].size for groups in splits)
-    table = np.full((len(splits), rows, cols), 1 << num_qubits, dtype=np.intp)
-    for s, groups in enumerate(splits):
-        table[s, : len(groups), : groups[0].size] = groups
-    table.flags.writeable = False
-    return table
+
+    members: np.ndarray
+    group_starts: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    pivot: np.ndarray
+    other: np.ndarray
+    pivot_starts: np.ndarray
+    split_groups: np.ndarray
 
 
-_PAD = np.zeros(1, dtype=complex)
+@lru_cache(maxsize=None)
+def _leaf_tables(num_qubits: int) -> _LeafTables:
+    """The tables of ``num_qubits`` qubits, built on first use."""
+    groups, splits = [], []
+    for block in CANDIDATE_SPLITS[num_qubits]:
+        rows = coefficient_groups(num_qubits, block)
+        splits.append(range(len(groups), len(groups) + len(rows)))
+        groups.extend(rows)
+    pairs = [(p, v) for split in splits for p in split for v in split if p != v]
+    columns = {size: np.triu_indices(size, 1) for size in {g.size for g in groups}}
+    terms = []  # p_i, v_j, p_j, v_i of each pair
+    for p, v in pairs:
+        i, j = columns[groups[p].size]
+        terms.append((groups[p][i], groups[v][j], groups[p][j], groups[v][i]))
+    p_i, v_j, p_j, v_i = (np.concatenate(term) for term in zip(*terms))
+    pivot, other = (np.repeat(ends, [term[0].size for term in terms]) for ends in zip(*pairs))
+    width = max(map(len, splits))
+    tables = _LeafTables(
+        members=np.concatenate(groups),
+        group_starts=np.cumsum([0] + [g.size for g in groups[:-1]]),
+        left=np.concatenate((p_i, p_j)),
+        right=np.concatenate((v_j, v_i)),
+        pivot=pivot,
+        other=other,
+        pivot_starts=np.searchsorted(pivot, np.arange(len(groups))),
+        split_groups=np.array([list(s) + [s[0]] * (width - len(s)) for s in splits]),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
 
 # Witness partitions are immutable, so each split's is built once.
 _partition = lru_cache(maxsize=None)(Bipartition.from_block)
 
 
-def _proportional_mask(state: StateVector, tol: float) -> np.ndarray:
-    """Per candidate split of a nonzero state, whether ``family_proportional``
-    holds for its family.
+def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray:
+    """For each state of a stack with one qubit count, and each candidate
+    split, whether ``family_proportional`` holds for the split's family
+    (rows of the result in stack order, columns in reporting order).
 
-    The pivot of each split is its group with the largest modulus (the
-    first on ties), nonzero because the groups cover every amplitude.
-    Every other group's largest cross minor against the pivot must be at
-    most ``tol * (pivot max * group max)``.
+    Each state is scaled by ``unit_scale`` of its largest modulus, which is
+    exact, so the products below neither overflow nor underflow.  The
+    pivot of a split is its group with the largest modulus (the first on
+    ties), nonzero for a nonzero state because the groups cover every
+    amplitude.  Every minor p_i v_j - p_j v_i of another group v against
+    the pivot must be at most ``tol * (pivot max * v max)``.  A zero
+    state passes every split.
     """
-    table = _split_table(state.num_qubits)
-    splits = np.arange(len(table))
-    # Scaled exactly, so that the products below neither overflow nor underflow.
-    m = np.concatenate((state.amplitudes, _PAD))
-    m *= unit_scale(state._largest())
-    m = m[table]
-    row_max = np.abs(m).max(axis=2)
-    pivot = row_max.argmax(axis=1)
-    outer = m[splits, pivot][:, None, :, None] * m[:, :, None, :]  # p_i v_j
-    minor = np.abs(outer - outer.swapaxes(2, 3)).max(axis=(2, 3))
-    ok = minor <= tol * (row_max[splits, pivot][:, None] * row_max)
-    # The pivot's self-minor p_i p_j - p_j p_i need not round to 0: complex
-    # multiplication is not bitwise commutative where it uses fused
-    # multiply-add.  The reference never compares the pivot with itself.
-    ok[splits, pivot] = True
-    return ok.all(axis=1)
+    t = _leaf_tables(states[0].num_qubits)
+    x = np.array([state.amplitudes for state in states])
+    x *= np.array([unit_scale(state._largest()) for state in states])[:, None]
+    group_max = np.maximum.reduceat(np.abs(x).take(t.members, axis=1), t.group_starts, axis=1)
+    products = x.take(t.left, axis=1) * x.take(t.right, axis=1)
+    half = t.pivot.size
+    minors = np.abs(products[:, :half] - products[:, half:])
+    # The pivot's self-minors are never formed: p_i p_j - p_j p_i need not
+    # round to 0, as complex multiplication is not bitwise commutative
+    # where it uses fused multiply-add.
+    bound = tol * (group_max.take(t.pivot, axis=1) * group_max.take(t.other, axis=1))
+    holds = np.logical_and.reduceat(minors <= bound, t.pivot_starts, axis=1)
+    pivots = group_max.take(t.split_groups, axis=1).argmax(axis=2) + t.split_groups[:, 0]
+    return holds[np.arange(len(states))[:, None], pivots]
 
 
 def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
@@ -220,7 +264,7 @@ def _proportional_splits(state: StateVector, tol: float) -> Iterator[Factorizati
     check_tolerance(tol)
     if state.is_zero():
         return
-    for s in np.flatnonzero(_proportional_mask(state, tol)):
+    for s in np.flatnonzero(_proportional_masks([state], tol)[0]):
         block = CANDIDATE_SPLITS[n][s]
         rows = _matricize(state.amplitudes, n, block).tolist()
         yield FactorizationWitness(

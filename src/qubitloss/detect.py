@@ -30,7 +30,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .base import CANDIDATE_SPLITS, FactorizationWitness, _product_across, detect_base
+from .base import (
+    CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
+)
 from .states import (
     DEFAULT_TOL, Bipartition, ProjectionOverflow, ProjectionResult, StateVector, check_tolerance,
     lose_qubit,
@@ -300,44 +302,58 @@ def _preorder(certificate: Certificate) -> List[Tuple[Certificate, int, bool]]:
     return steps
 
 
+def _all_genuine(leaves: Dict[int, List[StateVector]], tol: float) -> bool:
+    """Whether the exact test finds no proportional split in any of the
+    states, listed by qubit count, with one call of it per count."""
+    return not any(_proportional_masks(group, tol).any() for group in leaves.values())
+
+
 def replay_certificate(
     state: StateVector, certificate: Certificate, tol: float = DEFAULT_TOL
 ) -> bool:
     """Re-derive a certificate from scratch against the given state.
 
     Checks each distinct node once, projecting the state onto each subset
-    it names once and re-running the exact test at each leaf, with nothing
-    taken from ``detect``.  True iff every step checks out.  A projected
-    state is dropped when its node is entered.
+    it names once, with nothing taken from ``detect``.  The leaves' states
+    are collected on the way and then decided by the exact test, one call
+    for all the leaves of each size.  True iff every step checks out.  An
+    inner node's projected state is dropped when the node is entered.
     """
     check_tolerance(tol)
     root = tuple(range(1, state.num_qubits + 1))
     if certificate.qubits != root:
         return False
     states, entered = {root: state}, set()
-    for node, _, repeat in _preorder(certificate):
-        labels = node.qubits
-        if repeat:
-            continue
-        entered.add(id(node))
-        current = states.pop(labels)
-        if node.rule == "exact":
-            leaf = not node.children and 2 <= len(labels) <= _EXACT_MAX
-            if not leaf or not detect_base(current, tol).genuinely_entangled:
-                return False
-            continue
-        lost_pair = set(node.lost or ())
-        if node.rule != "two-projections" or len(lost_pair) != 2 or len(node.children) != 2:
-            return False
-        for lost, child in zip(node.lost, node.children):
-            if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
-                return False
-            if id(child) not in entered and child.qubits not in states:
-                proj = _project(current, labels, labels.index(lost) + 1)
-                if proj.is_zero:
+    leaves: Dict[int, List[StateVector]] = {}
+    try:
+        for node, _, repeat in _preorder(certificate):
+            labels = node.qubits
+            if repeat:
+                continue
+            entered.add(id(node))
+            current = states.pop(labels)
+            if node.rule == "exact":
+                if node.children or not 2 <= len(labels) <= _EXACT_MAX:
                     return False
-                states[child.qubits] = proj.state
-    return True
+                leaves.setdefault(len(labels), []).append(current)
+                continue
+            lost_pair = set(node.lost or ())
+            if node.rule != "two-projections" or len(lost_pair) != 2 or len(node.children) != 2:
+                return False
+            for lost, child in zip(node.lost, node.children):
+                if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
+                    return False
+                if id(child) not in entered and child.qubits not in states:
+                    proj = _project(current, labels, labels.index(lost) + 1)
+                    if proj.is_zero:
+                        return False
+                    states[child.qubits] = proj.state
+    except ProjectionOverflow:
+        # A leaf met before the overflow that fails the test decides first.
+        if _all_genuine(leaves, tol):
+            raise
+        return False
+    return _all_genuine(leaves, tol)
 
 
 def format_certificate(certificate: Certificate, indent: int = 0) -> str:

@@ -66,7 +66,7 @@ def test_mixed_pair_split_groupings_are_transposes():
 
 def test_groups_are_not_kept_after_use():
     # At n = 22 each split's index array takes 32 MiB; only the leaf's
-    # gather table, built from them once per qubit count, is cached.
+    # gather tables, built from them once per qubit count, are cached.
     rows = coefficient_groups(12, (1,))
     assert not rows[0].flags.writeable
     held = weakref.ref(rows[0].base)

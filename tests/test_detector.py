@@ -41,8 +41,9 @@ from qubitloss import (
     wclass_3q,
 )
 from qubitloss.cli import main
+from qubitloss.detect import _preorder
 from qubitloss.oracle import numerical_rank
-from qubitloss.states import largest_modulus
+from qubitloss.states import ProjectionOverflow, largest_modulus, lose_qubit_set
 from helpers import (
     hadamard_ghz,
     random_bipartition_blocks,
@@ -339,6 +340,95 @@ class TestCertificates:
             for lost, child in zip(node.lost, node.children):
                 assert set(child.qubits) == set(node.qubits) - {lost}
                 stack.append(child)
+
+
+def _forge(labels, spec):
+    """A certificate on ``labels``: ``spec`` is None for an exact leaf, or
+    ``(lost, (first, second))`` with the specs of the two children."""
+    if spec is None:
+        return Certificate(labels, "exact")
+    lost, children = spec
+    return Certificate(labels, "two-projections", lost, tuple(
+        _forge(tuple(q for q in labels if q != qubit), child)
+        for qubit, child in zip(lost, children)
+    ))
+
+
+def _leaves(cert):
+    steps = _preorder(cert)
+    return [node.qubits for node, _, repeat in steps if node.rule == "exact" and not repeat]
+
+
+_LEAVES = (None, None)
+
+
+class TestBatchedReplay:
+    """Replay decides all the leaves of each size in one call, after its
+    walk; the answers are those of deciding each leaf as it is entered.
+    On a dense state every forged certificate below replays; on a dense
+    5-qubit state times a qubit 6, each leaf that keeps qubit 6 is a
+    product and fails."""
+
+    SIX = tuple(range(1, 7))
+
+    @pytest.fixture
+    def states(self, rng):
+        dense = random_state(rng, 6)
+        with_lone_six = product_state(
+            [(range(1, 6), random_state(rng, 5)), ((6,), random_state(rng, 1))]
+        )
+        return dense, with_lone_six
+
+    @pytest.mark.parametrize("spec, failing", [
+        (((1, 6), (((2, 6), _LEAVES), ((1, 2), _LEAVES))), [0]),
+        (((6, 1), (((1, 2), _LEAVES), ((2, 6), _LEAVES))), [2]),
+        (((6, 1), (((1, 2), _LEAVES), ((6, 2), _LEAVES))), [3]),
+        (((6, 1), (((1, 2), _LEAVES), ((6, 2), (((2, 3), _LEAVES), None)))), [4]),
+        (((6, 1), (((1, 2), _LEAVES), ((6, 2), (None, ((3, 4), _LEAVES))))), [3, 4]),
+    ], ids=["first", "middle", "last", "mixed-sizes-4-fails", "mixed-sizes-3-fails"])
+    def test_one_failing_leaf_fails_the_batch(self, states, spec, failing):
+        cert = _forge(self.SIX, spec)
+        assert [k for k, leaf in enumerate(_leaves(cert)) if 6 in leaf] == failing
+        dense, with_lone_six = states
+        assert replay_certificate(dense, cert)
+        assert not replay_certificate(with_lone_six, cert)
+
+    def test_a_vanishing_leaf_fails(self, rng):
+        # Losing qubits 5 and 6 of |ψ> (|00> + |01> + |10> - 3|11>) leaves
+        # zero; losing either alone does not.
+        pair = StateVector(2, [1, 1, 1, -3])
+        s = product_state([(range(1, 5), random_state(rng, 4)), ((5, 6), pair)])
+        cert = _forge(self.SIX, ((6, 1), (((5, 1), _LEAVES), ((6, 2), _LEAVES))))
+        assert (1, 2, 3, 4) in _leaves(cert)
+        assert not replay_certificate(s, cert)
+
+    # Both states are 5 qubits times a qubit 6 in (m, -m/2).  The root's first
+    # child (qubit 6 lost) and its leaves stay finite; its second child's first
+    # projection adds amplitudes near m of one sign and overflows.
+    CERT_SPEC = ((6, 1), (((1, 2), _LEAVES), ((2, 6), _LEAVES)))
+
+    def _huge(self, five):
+        amps = five / np.abs(five).max()
+        return StateVector(6, np.kron(amps, [0.8e308, -0.4e308]))
+
+    def test_a_failing_leaf_before_an_overflow_fails(self, rng):
+        # Qubit 5 in |+> makes every leaf below the first child a product.
+        five = np.kron(1 + 0.25 * random_state(rng, 4).amplitudes, [1, 1])
+        cert = _forge(self.SIX, self.CERT_SPEC)
+        reversed_root = _forge(self.SIX, ((1, 6), self.CERT_SPEC[1][::-1]))
+        with np.errstate(over="ignore"):
+            assert not replay_certificate(self._huge(five), cert)
+            with pytest.raises(ProjectionOverflow):
+                replay_certificate(self._huge(five), reversed_root)
+
+    def test_passing_leaves_before_an_overflow_raise(self, rng):
+        five = 1 + 0.25 * random_state(rng, 5).amplitudes
+        cert = _forge(self.SIX, self.CERT_SPEC)
+        with np.errstate(over="ignore"), pytest.raises(ProjectionOverflow):
+            replay_certificate(self._huge(five), cert)
+        for leaf in ((2, 3, 4, 5), (1, 3, 4, 5)):
+            leaf_state = lose_qubit_set(StateVector(5, five), set(range(1, 6)) - set(leaf))
+            assert detect_base(leaf_state).genuinely_entangled
 
 
 class TestMeasure:

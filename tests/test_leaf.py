@@ -1,12 +1,13 @@
 """The exact 2/3/4-qubit leaf against a split-by-split reference.
 
 ``detect_base`` and ``all_factorizations`` test every candidate split in
-one vectorized pass.  The reference below tests the splits one at a time
-with ``coefficient_groups`` and ``family_proportional``, as the leaf did
-before it was vectorized; the two must agree exactly (verdict, witness
-partitions in reporting order, and families), at the default tolerance
-and at tolerance 0.  The leaf's verdict must not depend on the scale of
-the amplitudes, however large or tiny.
+one vectorized pass, the leaf kernel called on one state.  The reference
+below tests the splits one at a time with ``coefficient_groups`` and
+``family_proportional``, as the leaf did before it was vectorized; the
+two must agree exactly (verdict, witness partitions in reporting order,
+and families), at the default tolerance and at tolerance 0.  The leaf's
+verdict must not depend on the scale of the amplitudes, however large or
+tiny, nor on the other states of a stack the kernel decides at once.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from qubitloss import (
     random_state,
     sufficient_3q,
 )
-from qubitloss.base import CANDIDATE_SPLITS
+from qubitloss.base import CANDIDATE_SPLITS, _proportional_masks
 
 TOLERANCES = (1e-9, 0.0)
 
@@ -99,6 +100,51 @@ def test_seeded_corpus_matches_reference(n, tol):
     rng = np.random.default_rng(31 + n)
     for state in corpus(rng, n):
         assert_leaf_matches_reference(state, tol)
+
+
+def stack_corpus(rng, n):
+    """Dense states, exact and near products across every candidate split,
+    states with a zero group, states whose groups tie for the pivot, and
+    entangled and product states at extreme scales, as one stack."""
+    states = [random_state(rng, n) for _ in range(8)]
+    for block in CANDIDATE_SPLITS[n]:
+        states.append(split_product(rng, n, block))
+        noise = 1e-10 * random_state(rng, n).amplitudes
+        states.append(StateVector(n, split_product(rng, n, block).amplitudes + noise))
+        amps = random_state(rng, n).amplitudes.copy()
+        amps[coefficient_groups(n, block)[-1]] = 0
+        states.append(StateVector(n, amps))
+    d = 1 << n
+    states += [
+        StateVector(n, np.ones(d)),
+        StateVector(n, np.exp(2j * np.pi * rng.random(d))),
+        StateVector(n, np.zeros(d)),
+        StateVector(n, np.full(d, 1.5e308 + 1.5e308j)),
+    ]
+    ghz_like = np.zeros(d)
+    ghz_like[[0, -1]] = 1
+    product = np.kron(np.kron([1, 2], [1, 3]), np.ones(d // 4))
+    for scale in (1e200, 1e-200, 1e-310, 5e-324):
+        states += [StateVector(n, ghz_like * scale), StateVector(n, product * scale)]
+    return states
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_a_stack_decides_as_each_state_alone(n, tol):
+    rng = np.random.default_rng(50 + n)
+    states = stack_corpus(rng, n)
+    for state in states:
+        assert_leaf_matches_reference(state, tol)
+    alone = np.array([_proportional_masks([state], tol)[0] for state in states])
+    assert alone.shape == (len(states), len(CANDIDATE_SPLITS[n]))
+    assert alone.any() and not alone.all()
+    order = rng.permutation(len(states))
+    assert np.array_equal(_proportional_masks([states[k] for k in order], tol), alone[order])
+    for size in (2, 3, 7):
+        for start in range(0, len(states), size):
+            stack = states[start : start + size]
+            assert np.array_equal(_proportional_masks(stack, tol), alone[start : start + size])
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)

@@ -1,10 +1,15 @@
 """The package's public surface: every exported name resolves, the list
-of names stays fixed, and the walker module does no amplitude arithmetic."""
+of names stays fixed, the walker module does no amplitude arithmetic,
+and the walk reaches the leaf through the name a tracer wraps."""
 
 import importlib
 import inspect
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qubitloss
@@ -37,6 +42,35 @@ def test_walker_module_holds_no_numpy():
     # The walker decides from verdicts and cuts; states and base own every
     # pass over amplitudes.
     assert not hasattr(sys.modules["qubitloss.detect"], "np")
+
+
+def test_the_walk_calls_the_leaf_through_the_detect_module(monkeypatch):
+    # The benchmark's tracer times the leaf by wrapping this module
+    # attribute; a walk that reached the leaf another way would read as
+    # zero leaf calls, not as a failure.
+    module = sys.modules["qubitloss.detect"]
+    original, calls = module.detect_base, []
+
+    def counted(*args):
+        calls.append(args[0].num_qubits)
+        return original(*args)
+
+    monkeypatch.setattr(module, "detect_base", counted)
+    state = qubitloss.random_state(np.random.default_rng(6), 6)
+    assert qubitloss.detect(state).kind is qubitloss.VerdictKind.GENUINE
+    assert calls and set(calls) == {4}
+
+
+def test_importing_the_cli_builds_no_leaf_table():
+    # The leaf's tables are built on first use, so a CLI process that
+    # decides nothing pays nothing for them at import.
+    code = "import qubitloss.cli, qubitloss.base as b; print(b._leaf_tables.cache_info().currsize)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.strip() == "0"
 
 
 def test_the_loss_lives_in_states():
