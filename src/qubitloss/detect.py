@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .base import (
     CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
@@ -288,18 +288,18 @@ def sufficient_3q(state: StateVector, tol: float = DEFAULT_TOL) -> SweepReport:
     return _sweep(state, tol)
 
 
-def _preorder(certificate: Certificate) -> List[Tuple[Certificate, int, bool]]:
+def _preorder(certificate: Certificate) -> Iterator[Tuple[Certificate, int, bool]]:
     """The ``(node, depth, repeat)`` steps of a pre-order walk that enters
     each distinct node (by identity) once: a step that meets a node again
     is a ``repeat`` and does not descend."""
-    steps, entered, stack = [], set(), [(certificate, 0)]
+    entered, stack = set(), [(certificate, 0)]
     while stack:
         node, depth = stack.pop()
-        steps.append((node, depth, id(node) in entered))
-        if id(node) not in entered:
+        repeat = id(node) in entered
+        yield node, depth, repeat
+        if not repeat:
             entered.add(id(node))
             stack.extend((child, depth + 1) for child in reversed(node.children))
-    return steps
 
 
 def _all_genuine(leaves: Dict[int, List[StateVector]], tol: float) -> bool:
@@ -341,10 +341,13 @@ def replay_certificate(
             if node.rule != "two-projections" or len(lost_pair) != 2 or len(node.children) != 2:
                 return False
             for lost, child in zip(node.lost, node.children):
-                if lost not in labels or child.qubits != tuple(q for q in labels if q != lost):
+                if lost not in labels:
+                    return False
+                pos = labels.index(lost)
+                if child.qubits != labels[:pos] + labels[pos + 1:]:
                     return False
                 if id(child) not in entered and child.qubits not in states:
-                    proj = _project(current, labels, labels.index(lost) + 1)
+                    proj = _project(current, labels, pos + 1)
                     if proj.is_zero:
                         return False
                     states[child.qubits] = proj.state

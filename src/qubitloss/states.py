@@ -14,10 +14,11 @@ Losing qubit k adds, for every remaining bit pattern, the two amplitudes
 that differ only in qubit k's bit: viewed as an array of shape
 (2^(k-1), 2, 2^(n-k)), one add of its two halves along the middle axis,
 the only pass over the amplitudes.  Every state carries an upper bound on
-its real and imaginary parts (its largest modulus when built directly,
-twice the input's bound for a projection), which proves that the sums
-cannot overflow and, from the first amplitude alone, settles the zero
-rule whenever it is not close; only then is a largest modulus taken.
+its real and imaginary parts (a built state its largest part, taken in the
+pass that checks its amplitudes are finite; a projection twice its input's
+bound), which proves that the sums cannot overflow and, from the first
+amplitude alone, settles the zero rule whenever it is not close; only then
+is a largest modulus taken.
 The projection is linear, losses of different qubits commute, and the
 result is a pure state, unlike a partial trace.  It is never
 renormalized, and one that vanishes counts as a product.
@@ -30,7 +31,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def _numbers(values) -> np.ndarray:
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""
 
-    __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound")
+    __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound", "_adopted")
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         num_qubits = check_qubit_count(num_qubits)
@@ -132,13 +133,13 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} "
                 f"qubits, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        # The largest real or imaginary part, in the one pass that checks
+        # finiteness: a NaN or an infinity fails the comparison.
+        parts = amps.view(np.float64)
+        bound = max(float(parts.max()), -float(parts.min()))
+        if not bound <= sys.float_info.max:
             raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_max_abs", None)
-        object.__setattr__(self, "_bound", None)
+        _fill(self, num_qubits, amps, bound, False)
 
     @classmethod
     def _adopt(cls, num_qubits: int, amps: np.ndarray, bound: float) -> "StateVector":
@@ -147,11 +148,7 @@ class StateVector:
         of them; the array becomes read-only and must not be shared.  Its
         ``largest_modulus`` is taken only when something asks for it."""
         self = object.__new__(cls)
-        amps.flags.writeable = False
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_max_abs", None)
-        object.__setattr__(self, "_bound", bound)
+        _fill(self, num_qubits, amps, bound, True)
         return self
 
     def __setattr__(self, name, value):
@@ -160,7 +157,7 @@ class StateVector:
     def _largest(self) -> float:
         """``largest_modulus`` of the amplitudes, computed at most once per state."""
         if self._max_abs is None:
-            object.__setattr__(self, "_max_abs", largest_modulus(self.amplitudes))
+            _SET_MAX_ABS(self, largest_modulus(self.amplitudes))
         return self._max_abs
 
     @classmethod
@@ -190,7 +187,9 @@ class StateVector:
         return StateVector(self.num_qubits, scaled / n)
 
     def is_zero(self) -> bool:
-        return self._largest() == 0.0
+        # A built state's bound is its largest part; an adopted one's only
+        # caps its parts.
+        return self._largest() == 0.0 if self._adopted else self._bound == 0.0
 
     def __repr__(self) -> str:
         n = self.num_qubits
@@ -202,6 +201,22 @@ class StateVector:
                 terms.append(f"({a:.3g})|{i:0{n}b}>")
         body = " + ".join(terms) if terms else "0"
         return f"StateVector({body})"
+
+
+# The slots' own setters, which ``__setattr__`` does not block.
+_SET_QUBITS, _SET_AMPS, _SET_MAX_ABS, _SET_BOUND, _SET_ADOPTED = (
+    StateVector.__dict__[name].__set__ for name in StateVector.__slots__
+)
+
+
+def _fill(state: StateVector, num_qubits: int, amps: np.ndarray, bound: float, adopted: bool):
+    """Set every slot of a new state; ``amps`` becomes read-only."""
+    amps.setflags(write=False)
+    _SET_QUBITS(state, num_qubits)
+    _SET_AMPS(state, amps)
+    _SET_MAX_ABS(state, None)
+    _SET_BOUND(state, bound)
+    _SET_ADOPTED(state, adopted)
 
 
 def basis_index(bits, num_qubits: int | None = None) -> int:
@@ -348,8 +363,7 @@ class ProjectionOverflow(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     state: StateVector
     lost_qubit: int
     is_zero: bool
@@ -364,22 +378,23 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     pairs = state.amplitudes.reshape(1 << (k - 1), 2, 1 << (n - k))
-    out = (pairs[:, 0] + pairs[:, 1]).reshape(-1)
-    # A state not adopted bounds its parts by its largest modulus.  Two parts
-    # of at most B round to a sum of at most 2B, so only a bound past the
-    # float maximum lets a sum overflow.
-    bound = 2.0 * (state._largest() if state._bound is None else state._bound)
+    out = (pairs[:, 0] + pairs[:, 1]).ravel()
+    # Two parts of at most B round to a sum of at most 2B, so only a bound
+    # past the float maximum lets a sum overflow.
+    bound = 2.0 * state._bound
     if bound > sys.float_info.max and not np.isfinite(out.view(np.float64)).all():
         raise ProjectionOverflow(k, range(1, n + 1))
     projected = StateVector._adopt(n - 1, out, bound)
-    # The zero rule compares largest moduli.  |out[0]| is at least its larger
-    # part and the input's largest modulus is at most sqrt(2) times its own
-    # bound, below ``bound``: a part of out[0] above the threshold at
-    # ``bound`` settles "not zero" with no pass over either state.
-    first = complex(out[0])
+    # The zero rule compares largest moduli.  The input's bound is at least
+    # each of its parts (a built state's largest part, or a projection's
+    # carried bound), so its largest modulus is at most sqrt(2) times that,
+    # below ``bound``, while |out[0]| is at least its larger part: a part of
+    # out[0] above the threshold at ``bound`` settles "not zero" with no pass
+    # over either state.
+    first = out.item(0)
     settled = max(abs(first.real), abs(first.imag)) > DEFAULT_ZERO_RTOL * bound
     is_zero = not settled and projected._largest() <= DEFAULT_ZERO_RTOL * state._largest()
-    return ProjectionResult(state=projected, lost_qubit=k, is_zero=is_zero)
+    return ProjectionResult(projected, k, is_zero)
 
 
 def all_projections(state: StateVector) -> List[ProjectionResult]:

@@ -698,9 +698,10 @@ class TestWalkerWork:
         assert len(projections) == 54
 
     def test_only_the_root_takes_a_largest_modulus_above_a_leaf(self, monkeypatch):
-        # A projection carries a bound on its parts, and on a dense state the
-        # first amplitude settles its zero rule, so the one modulus pass over
-        # more than 16 amplitudes is the root's.
+        # A built state takes the bound on its parts when it is checked, a
+        # projection carries one, and on a dense state the first amplitude
+        # settles the zero rule, so no modulus pass runs above a leaf, not
+        # even on the root.
         sizes = []
 
         def counted(values):
@@ -714,4 +715,4 @@ class TestWalkerWork:
         verdict = detect(s)
         assert verdict.kind is VerdictKind.GENUINE
         assert replay_certificate(s, verdict.certificate)
-        assert [size for size in sizes if size > 16] == [1 << 12]
+        assert [size for size in sizes if size > 16] == []

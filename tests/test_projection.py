@@ -296,3 +296,52 @@ def test_kernel_matches_reference_projection_and_zero_rule(chain):
             )
             assert type(res.is_zero) is bool and res.is_zero == vanished
             state = res.state
+
+
+def _near_cancelling(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Amplitudes on n qubits whose pairs across qubit k cancel to a relative
+    1e-13..1e-11, one order per state, times a scale in 1e-300..1e300.  In
+    one draw of two the first amplitude is the largest, at phase pi/4, so
+    its modulus is sqrt(2) times the largest part and the screen settles
+    near its threshold; in one of four the first pair cancels exactly, so
+    the screen cannot settle it."""
+    d = 1 << (n - 1)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    delta = 10.0 ** rng.uniform(-13, -11) * rng.uniform(0.5, 1, d)
+    delta = delta * np.exp(2j * np.pi * rng.random(d))
+    if rng.random() < 0.5:
+        x[0] = 2 * np.abs(x).max() * np.exp(0.25j * np.pi)
+    if rng.random() < 0.25:
+        delta[0] = 0.0
+    pairs = np.empty((1 << (k - 1), 2, 1 << (n - k)), dtype=complex)
+    pairs[:, 0] = x.reshape(1 << (k - 1), -1)
+    pairs[:, 1] = -(x * (1 + delta)).reshape(1 << (k - 1), -1)
+    return pairs.reshape(-1) * 10.0 ** rng.uniform(-300, 300)
+
+
+def test_zero_screen_matches_the_reference_rule():
+    # A built state bounds its parts by its largest part, which may be
+    # 1/sqrt(2) of its largest modulus, so its screen threshold is lower
+    # than a modulus would give.  Every projection's is_zero must still be
+    # the reference rule on the arrays themselves, for built states and
+    # for projections of 1-qubit-larger states.
+    rng = np.random.default_rng(7)
+    outcomes, settled = set(), set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n + 1))
+        amps = _near_cancelling(rng, n, k)
+        r = (rng.standard_normal(amps.size) + 1j * rng.standard_normal(amps.size)) * np.abs(amps)
+        wider = StateVector(n + 1, np.stack([amps / 2 + r, amps / 2 - r], axis=-1))
+        for state in (StateVector(n, amps), lose_qubit(wider, n + 1).state):
+            for lost in range(1, n + 1):
+                res = lose_qubit(state, lost)
+                threshold = DEFAULT_ZERO_RTOL * largest_modulus(state.amplitudes)
+                vanished = largest_modulus(res.state.amplitudes) <= threshold
+                assert res.is_zero == vanished, (n, k, lost)
+                if lost == k:
+                    outcomes.add(vanished)
+                    settled.add(res.state._max_abs is None)
+    # Both answers occur on the near-cancelling qubit, and both the screen
+    # and the fallback decide some of them.
+    assert outcomes == {True, False} and settled == {True, False}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qubitloss import (
     basis_index,
     basis_state,
     cluster4,
+    detect,
     dicke,
     dump_state,
     dumps_state,
@@ -30,12 +32,22 @@ from qubitloss import (
     ppt_2qubit,
     product_state,
     random_state,
+    replay_certificate,
     tensor,
     unfold,
     w_state,
 )
+from qubitloss.states import ProjectionOverflow
+from helpers import with_overflowing_moduli
 
 S2 = 1.0 / math.sqrt(2.0)
+
+
+def _with_part(part: str, value: float) -> np.ndarray:
+    """Four unit amplitudes, the third with its ``part`` set to ``value``."""
+    amps = np.ones(4, dtype=complex)
+    getattr(amps, part)[2] = value
+    return amps
 
 
 class TestConstruction:
@@ -63,6 +75,74 @@ class TestConstruction:
             StateVector(1, [1, np.nan])
         with pytest.raises(ValueError, match="finite"):
             StateVector(1, [np.inf, 0])
+
+    @pytest.mark.parametrize("amps", [
+        _with_part("real", np.nan),
+        _with_part("imag", np.nan),
+        _with_part("real", np.inf),
+        _with_part("real", -np.inf),
+        _with_part("imag", -np.inf),
+        np.array([1, 2, float("nan"), 3], dtype=object),
+        np.array([1, 2, complex(0, float("inf")), 3], dtype=object),
+    ], ids=["nan-real", "nan-imag", "inf", "-inf", "-inf-imag", "object-nan", "object-inf-imag"])
+    def test_any_nonfinite_part_rejected(self, amps):
+        # The part bound is taken in the finiteness pass: a NaN or an
+        # infinity in either part must still fail it.
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            StateVector(2, amps)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            StateVector.from_amplitudes(amps)
+
+    @pytest.mark.parametrize("amps, zero", [
+        (np.zeros(4), True),
+        (np.full(4, complex(-0.0, -0.0)), True),
+        ([0, 0, 5e-324, 0], False),
+        ([0, 0, 0, 5e-324j], False),
+        ([0, -5e-324, 0, 0], False),
+    ], ids=["zeros", "negative-zeros", "subnormal", "subnormal-imag", "negative-subnormal"])
+    def test_is_zero_of_a_built_state(self, amps, zero):
+        assert StateVector(2, amps).is_zero() is zero
+
+    def test_is_zero_of_a_projection_that_cancels_exactly(self):
+        # Its parts are bounded by 4, not 0, so the bound alone cannot
+        # tell; the state must still read as zero, and its sibling not.
+        state = StateVector(2, [1, -1, 2, -2])
+        res = lose_qubit(state, 2)
+        assert res.is_zero and res.state.is_zero()
+        assert np.array_equal(res.state.amplitudes, [0, 0])
+        assert not lose_qubit(state, 1).is_zero and not lose_qubit(state, 1).state.is_zero()
+
+    def test_overflowing_moduli_project_as_before(self):
+        # Parts of 1.5e308 are finite, their moduli are not.  A sum of one
+        # such amplitude and a zero stays finite; two of them overflow.
+        big = 1.5e308 * (1 + 1j)
+        state = StateVector(2, [big, big, 0, 0])
+        assert not state.is_zero()
+        res = lose_qubit(state, 1)
+        assert not res.is_zero and np.array_equal(res.state.amplitudes, [big, big])
+        with np.errstate(over="ignore"), pytest.raises(ProjectionOverflow, match=re.escape(
+            "losing qubit 2 from {1,2} gives amplitudes that are not finite (the sums overflow)"
+        )):
+            lose_qubit(state, 2)
+
+    @pytest.mark.parametrize("family, outcome", [
+        (lambda: ghz(6), "genuine"),
+        (lambda: dicke(4, 2), "genuine"),
+        (cluster4, "not-genuine"),
+        (lambda: w_state(6), "losing qubit 2 from {2,3,4,5,6}"),
+        (lambda: dicke(6, 2), "losing qubit 2 from {2,3,4,5,6}"),
+    ], ids=["ghz-6", "dicke-4-2", "cluster-4", "w-6", "dicke-6-2"])
+    def test_overflowing_moduli_decide_or_raise(self, family, outcome):
+        state = with_overflowing_moduli(family())
+        with np.errstate(over="ignore"):
+            if outcome.startswith("losing"):
+                with pytest.raises(ProjectionOverflow, match=re.escape(outcome)):
+                    detect(state)
+                return
+            verdict = detect(state)
+            assert verdict.kind == outcome
+            if verdict.certificate is not None:
+                assert replay_certificate(state, verdict.certificate)
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
