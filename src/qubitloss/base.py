@@ -3,7 +3,8 @@ test of one cut on a larger state, and the proportionality of vectors.
 
 A family of vectors is proportional when some nonzero member scales onto
 every other one; ``family_proportional`` and ``pair_proportional`` decide
-it through 2x2 cross minors, so zero entries need no special casing.  A
+it through 2x2 cross minors, so zero entries need no special casing; they
+and ``max_cross_minor`` read their vectors with ``states._numbers``.  A
 pure state is a product across a given bipartition exactly when the
 coefficient vectors obtained by grouping amplitudes over the first
 block's bit patterns are proportional.  For n <= 4 it suffices to test a
@@ -34,8 +35,8 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .states import (
-    DEFAULT_TOL, Bipartition, StateVector, _matricize, check_tolerance, largest_modulus,
-    unit_scale,
+    DEFAULT_TOL, Bipartition, StateVector, _matricize, _numbers, check_tolerance,
+    largest_modulus, unit_scale,
 )
 
 # Candidate splits in reporting order: single-qubit blocks first, then
@@ -70,9 +71,9 @@ def coefficient_groups(num_qubits: int, block_a: Tuple[int, ...]) -> Tuple[np.nd
     block's bits.  The family of a state's amplitudes over these groups
     is proportional iff the state is a product across the split.
     """
-    n = num_qubits
-    block_a = Bipartition.from_block(n, block_a).block_a
-    rows = _matricize(np.arange(1 << n, dtype=np.intp), n, block_a)
+    part = Bipartition.from_block(num_qubits, block_a)
+    n = len(part.qubits)
+    rows = _matricize(np.arange(1 << n, dtype=np.intp), n, part.block_a)
     rows.flags.writeable = False
     return tuple(rows)
 
@@ -189,7 +190,7 @@ def max_cross_minor(u, v) -> float:
     Zero exactly when one vector is a scalar multiple of the other
     (including the zero multiple).
     """
-    u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+    u, v = (_numbers(x, "vector entries")[0].reshape(-1) for x in (u, v))
     if u.size != v.size:
         raise ValueError(f"vector lengths differ: {u.size} vs {v.size}")
     if u.size == 0:
@@ -213,7 +214,7 @@ def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
     to anything (scaling factor zero).
     """
     check_tolerance(tol)
-    u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+    u, v = (_numbers(x, "vector entries")[0].reshape(-1) for x in (u, v))
     u, v = (x * unit_scale(largest_modulus(x)) for x in (u, v))
     scale = largest_modulus(u) * largest_modulus(v)
     return max_cross_minor(u, v) <= tol * scale
@@ -226,7 +227,7 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
     all-zero family is proportional by convention.
     """
     check_tolerance(tol)
-    vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    vs = [_numbers(v, "vector entries")[0].reshape(-1) for v in vectors]
     if len(vs) < 2:
         raise ValueError("a family needs at least two vectors")
     if any(v.size != vs[0].size for v in vs):

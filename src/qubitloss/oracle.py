@@ -8,7 +8,8 @@ other.  Cost is exponential; the scan is gated to 12 qubits.
 Also provides the partial trace and the exact positive-partial-transpose
 separability test for two-qubit reductions, for contrasting the
 qubit-loss projection (a pure state) with tracing a qubit out (generally
-a mixed state).
+a mixed state).  Both matrix readers take their entries through
+``states._numbers``; the Hermiticity test is relative to the largest modulus.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .states import (
-    DEFAULT_TOL, Bipartition, StateVector, all_bipartitions, as_int, check_tolerance,
-    largest_modulus, unfold, unit_scale,
+    DEFAULT_TOL, Bipartition, StateVector, _numbers, all_bipartitions, as_int,
+    check_tolerance, largest_modulus, unfold, unit_scale,
 )
 
 MAX_SCAN_QUBITS = 12
@@ -28,9 +29,7 @@ MAX_SCAN_QUBITS = 12
 def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
-    m = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = _numbers(matrix, "matrix entries")[0]
     # Scaled exactly so that no singular value overflows or underflows.
     sigma = np.linalg.svd(m * unit_scale(largest_modulus(m)), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -83,13 +82,10 @@ def ppt_2qubit(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     non-Hermitian input (beyond 1e-10 relative) is rejected.
     """
     check_tolerance(tol)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numbers(rho, "density matrix entries")[0]
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix entries must be finite")
-    scale = max(1.0, largest_modulus(rho))
-    if float(np.abs(rho - rho.conj().T).max()) > 1e-10 * scale:
+    if float(np.abs(rho - rho.conj().T).max()) > 1e-10 * largest_modulus(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
     if trace.real <= 0.0:

@@ -5,20 +5,22 @@ Amplitude index i spells the bit string b1 b2 ... bn with qubit 1 as the
 most significant bit, so the amplitude of |b1...bn> sits at
 sum(b_k * 2**(n-k)).  States are deliberately kept unnormalized: every
 detection test in this package is invariant under global rescaling, and
-projected states come out unnormalized anyway.  One integer rule reads
-every qubit count, number, label and bit: ``as_int``, or ``int_text`` for text.
-``check_tolerance`` reads every tolerance, and ``largest_modulus`` (with
+projected states come out unnormalized anyway.  Each input rule has one
+owner here: ``as_int`` (``int_text`` for text) reads every qubit number,
+label and bit; ``check_qubit_count`` every qubit count, before anything is
+sized by it; ``_numbers`` every array of numbers (amplitudes, vectors,
+matrices); ``check_tolerance`` every tolerance.  ``largest_modulus`` (with
 ``unit_scale``, its exact power of two) gives every scale and threshold.
 
 Losing qubit k adds, for every remaining bit pattern, the two amplitudes
 that differ only in qubit k's bit: viewed as an array of shape
 (2^(k-1), 2, 2^(n-k)), one add of its two halves along the middle axis,
 the only pass over the amplitudes.  Every state carries an upper bound on
-its real and imaginary parts (a built state its largest part, taken in the
-pass that checks its amplitudes are finite; a projection twice its input's
-bound), which proves that the sums cannot overflow and, from the first
-amplitude alone, settles the zero rule whenever it is not close; only then
-is a largest modulus taken.
+its real and imaginary parts (a built state its largest part, which
+``_numbers`` takes in the pass that checks finiteness; a projection twice
+its input's bound), which proves that the sums cannot overflow and, from
+the first amplitude alone, settles the zero rule whenever it is not close;
+only then is a largest modulus taken.
 The projection is linear, losses of different qubits commute, and the
 result is a pure state, unlike a partial trace.  It is never
 renormalized, and one that vanishes counts as a product.
@@ -31,6 +33,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -111,13 +114,24 @@ def unit_scale(largest: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(largest)[1], -1023))
 
 
-def _numbers(values) -> np.ndarray:
-    """``values`` as an array of numbers: no bools or text, which NumPy's cast would read."""
+def _numbers(values, what: str) -> Tuple[np.ndarray, float]:
+    """``values``, named ``what`` in errors, as a new complex array of their
+    shape, and its largest real or imaginary part.  No bools or text, which
+    NumPy's cast would read; the bound is taken in the one pass that checks
+    finiteness, as a NaN or an infinity fails its comparison."""
     a = np.asarray(values)  # an object array: ints past int64, or mixed types
     if a.dtype.kind not in "iufc" and not (a.dtype.kind == "O" and all(
             isinstance(x, numbers.Number) and not isinstance(x, bool) for x in a.flat)):
-        raise ValueError(f"amplitudes must be ints, floats or complex numbers, got dtype {a.dtype}")
-    return a
+        raise ValueError(f"{what} must be ints, floats or complex numbers, got dtype {a.dtype}")
+    try:
+        z = np.array(a, dtype=complex, order="C")
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must be finite") from None
+    parts = z.reshape(-1).view(np.float64)
+    bound = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if not bound <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite")
+    return z, bound
 
 
 class StateVector:
@@ -127,19 +141,11 @@ class StateVector:
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         num_qubits = check_qubit_count(num_qubits)
-        amps = np.array(_numbers(amplitudes), dtype=complex).reshape(-1)
+        amps, bound = _numbers(amplitudes, "amplitudes")
         if amps.size != 1 << num_qubits:
-            raise ValueError(
-                f"expected {1 << num_qubits} amplitudes for {num_qubits} "
-                f"qubits, got {amps.size}"
-            )
-        # The largest real or imaginary part, in the one pass that checks
-        # finiteness: a NaN or an infinity fails the comparison.
-        parts = amps.view(np.float64)
-        bound = max(float(parts.max()), -float(parts.min()))
-        if not bound <= sys.float_info.max:
-            raise ValueError("amplitudes must be finite")
-        _fill(self, num_qubits, amps, bound, False)
+            raise ValueError(f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
+                             f"got {amps.size}")
+        _fill(self, num_qubits, amps.reshape(-1), bound, False)
 
     @classmethod
     def _adopt(cls, num_qubits: int, amps: np.ndarray, bound: float) -> "StateVector":
@@ -163,9 +169,9 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build a state from a length-2^n vector, inferring n."""
-        amps = _numbers(amplitudes)
+        amps = np.asarray(amplitudes)  # read once; ``__init__`` checks the entries
         n = amps.size.bit_length() - 1
-        if amps.size != 1 << n or amps.size < 2:
+        if amps.size < 2 or amps.size != 1 << n:
             raise ValueError(f"length {amps.size} is not a power of two >= 2")
         return cls(n, amps)
 
@@ -242,9 +248,8 @@ def basis_state(bits) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's qubits become the leading (most significant) ones."""
-    return StateVector(
-        a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes)
-    )
+    n = check_qubit_count(a.num_qubits + b.num_qubits)
+    return StateVector(n, np.kron(a.amplitudes, b.amplitudes))
 
 
 def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> StateVector:
@@ -255,19 +260,19 @@ def product_state(factors: Sequence[Tuple[Sequence[int], StateVector]]) -> State
     pair on qubits (1, 3) times another factor on (2, 4).
     """
     label_seq: list[int] = []
-    arr = np.ones(1, dtype=complex)
+    kets = []
     for labels, st in factors:
         labels = tuple(as_int(q) for q in labels)
         if len(labels) != st.num_qubits:
-            raise ValueError(
-                f"factor on {labels} has {st.num_qubits} qubits, "
-                f"expected {len(labels)}"
-            )
+            raise ValueError(f"factor on {labels} has {st.num_qubits} qubits, "
+                             f"expected {len(labels)}")
         label_seq.extend(labels)
-        arr = np.kron(arr, st.amplitudes)
+        kets.append(st.amplitudes)
     n = len(label_seq)
     if sorted(label_seq) != list(range(1, n + 1)):
         raise ValueError(f"factor labels {label_seq} do not tile 1..{n}")
+    check_qubit_count(n)
+    arr = reduce(np.kron, kets, np.ones(1, dtype=complex))
     perm = [label_seq.index(q) for q in range(1, n + 1)]
     full = arr.reshape((2,) * n).transpose(perm).reshape(-1)
     return StateVector(n, full)
@@ -294,11 +299,11 @@ class Bipartition:
 
     @classmethod
     def from_block(cls, num_qubits: int, block_a: Iterable[int]) -> "Bipartition":
-        num_qubits = as_int(num_qubits)
+        num_qubits = check_qubit_count(as_int(num_qubits))
         a = tuple(sorted(as_int(q) for q in block_a))
         if not all(1 <= q <= num_qubits for q in a):
             raise ValueError(f"labels {a} out of range for {num_qubits} qubits")
-        b = tuple(q for q in range(1, num_qubits + 1) if q not in set(a))
+        b = tuple(q for q in range(1, num_qubits + 1) if q not in a)
         return cls(a, b)
 
     @property
@@ -340,8 +345,7 @@ def unfold(state: StateVector, partition) -> np.ndarray:
 
 def all_bipartitions(num_qubits: int) -> Iterator[Bipartition]:
     """All 2^(n-1) - 1 bipartitions of qubits 1..n, block A containing qubit 1."""
-    num_qubits = as_int(num_qubits)
-    if num_qubits < 2:
+    if (num_qubits := check_qubit_count(as_int(num_qubits))) < 2:
         raise ValueError("bipartitions need at least two qubits")
     rest = list(range(2, num_qubits + 1))
     for mask in range(1 << (num_qubits - 1)):
@@ -414,9 +418,7 @@ def lose_qubit_set(state: StateVector, qubits: Iterable[int]) -> StateVector:
     if ks[0] < 1 or ks[-1] > n:
         raise ValueError(f"qubit indices {ks} out of range 1..{n}")
     if n - len(ks) < 2:
-        raise ValueError(
-            f"losing {len(ks)} of {n} qubits leaves fewer than two"
-        )
+        raise ValueError(f"losing {len(ks)} of {n} qubits leaves fewer than two")
     # Ascending original order; ``labels`` names the qubits still present.
     current, labels = state, tuple(range(1, n + 1))
     for k in ks:
@@ -434,10 +436,8 @@ def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
     return StateVector(num_qubits, rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 
-def random_product_state(
-    rng: np.random.Generator, blocks: Sequence[Sequence[int]]
-) -> StateVector:
+def random_product_state(rng: np.random.Generator, blocks: Sequence[Sequence[int]]) -> StateVector:
     """Product of complex-Gaussian factors on the given label blocks."""
-    return product_state(
-        [(tuple(b), random_state(rng, len(tuple(b)))) for b in blocks]
-    )
+    blocks = [tuple(b) for b in blocks]
+    check_qubit_count(sum(map(len, blocks)))
+    return product_state([(b, random_state(rng, len(b))) for b in blocks])

@@ -1,6 +1,7 @@
-"""Shared test utilities: random partitions, product states, an
-independent bit-string reimplementation of the qubit-loss projection and
-a memo-free reimplementation of the detector's recursion."""
+"""Shared test utilities: a numpy stand-in that fails on any use, random
+partitions, product states, an independent bit-string reimplementation
+of the qubit-loss projection and a memo-free reimplementation of the
+detector's recursion."""
 
 from __future__ import annotations
 
@@ -18,6 +19,13 @@ from qubitloss import (
     random_product_state,
     random_state,
 )
+
+
+class _NoAllocation:
+    """Stands in for numpy where a test must never reach an allocation."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the qubit limit")
 
 
 def random_bipartition_blocks(rng: np.random.Generator, n: int):

@@ -31,7 +31,7 @@ from qubitloss import (
     w_state,
 )
 from qubitloss.cli import main
-from helpers import with_overflowing_moduli
+from helpers import _NoAllocation, with_overflowing_moduli
 
 
 def run(capsys, *argv):
@@ -183,13 +183,6 @@ class TestDetectCommand:
             "qubitloss: error: losing qubit 2 from {2,3,4,5,6} gives amplitudes "
             "that are not finite (the sums overflow)\n"
         )
-
-
-class _NoAllocation:
-    """Stands in for numpy where a test must never reach an allocation."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} reached before the qubit limit")
 
 
 _NOT_ASCII = "a text state document must be ASCII with no underscore"

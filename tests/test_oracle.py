@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,33 @@ class TestPpt:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             ppt_2qubit(np.eye(8) / 8)
+
+
+class TestPptHermiticityIsRelative:
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20, 1e20])
+    def test_rejects_one_triangle_at_any_scale(self, scale):
+        # With the scale floored at 1, 1e-12 of this matrix read separable.
+        bad = np.eye(4)
+        bad[0, 1] = 1.0
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian within tolerance$"):
+            ppt_2qubit(scale * bad)
+
+    def test_reductions_of_pure_states_pass_at_any_scale(self, rng):
+        states = [ghz(n) for n in range(3, 7)] + [w_state(n) for n in range(3, 7)]
+        for n in range(3, 7):
+            for _ in range(8):
+                states.append(random_state(rng, n))
+                states.append(random_product(rng, random_bipartition_blocks(rng, n)))
+        checked = 0
+        for state in states:
+            for keep in itertools.combinations(range(1, state.num_qubits + 1), 2):
+                rho = partial_trace(state, keep)
+                separable = ppt_2qubit(rho)
+                # Powers of two scale exactly, so the answer cannot move.
+                assert ppt_2qubit(2.0**-70 * rho) is separable
+                assert ppt_2qubit(2.0**70 * rho) is separable
+                checked += 1
+        assert checked == 18 * (3 + 6 + 10 + 15)  # 18 states of each size
 
 
 class TestNonFiniteMatrices:
