@@ -2,28 +2,21 @@
 test of one cut on a larger state, and the proportionality of vectors.
 
 A family of vectors is proportional when some nonzero member scales onto
-every other one; ``family_proportional`` and ``pair_proportional`` decide
-it through 2x2 cross minors, so zero entries need no special casing; they
-and ``max_cross_minor`` read their vectors with ``states._numbers``.  A
-pure state is a product across a given bipartition exactly when the
-coefficient vectors obtained by grouping amplitudes over the first
-block's bit patterns are proportional.  For n <= 4 it suffices to test a
+every other one, and a pure state is a product across a bipartition
+exactly when the coefficient vectors obtained by grouping amplitudes over
+the first block's bit patterns are.  For n <= 4 it suffices to test a
 fixed list of candidate splits: the single split for two qubits, the
 three 1-vs-2 splits for three qubits, and the four 1-vs-3 plus three
-2-vs-2 splits for four qubits.  A state is genuinely entangled iff no
-candidate family is proportional.
+2-vs-2 splits for four qubits; a state is genuinely entangled iff no
+candidate family is proportional.  One kernel, ``_proportional_masks``,
+tests them all for a stack of states in one vectorized pass, by every
+cross minor against each split's group with the largest entry.
 
-One kernel, ``_proportional_masks``, tests every candidate split of a
-stack of states with one qubit count in one vectorized pass, with the
-pivot and threshold rule of ``family_proportional``, which stays as the
-reference the tests check the kernel against.  It gathers from flat
-tables, built from ``coefficient_groups`` on first use of a qubit count,
-which list each group and, for each ordered pair of groups of a split,
-the cross minors between them.  ``detect_base`` calls it on one state;
-``detect.replay_certificate`` calls it once for all of a certificate's
-leaves of each size.  ``_product_across`` tests one given cut of a state
-of any size by the same threshold rule against one pivot, the largest
-entry.
+Every other test is ``_rank_one``: rows scaled exactly, and their
+2x2 cross minors against the largest entry, so zero entries need no
+special casing.  ``_product_across`` applies it to a cut's unfolding,
+``pair_proportional`` and ``family_proportional`` to two vectors, each read
+once with ``states._numbers``, and ``equal_up_to_scale`` to two states.
 """
 
 from __future__ import annotations
@@ -141,8 +134,8 @@ _partition = lru_cache(maxsize=None)(Bipartition.from_block)
 
 def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray:
     """For each state of a stack with one qubit count, and each candidate
-    split, whether ``family_proportional`` holds for the split's family
-    (rows of the result in stack order, columns in reporting order).
+    split, whether the split's family is proportional (rows of the result
+    in stack order, columns in reporting order).
 
     Each state is scaled by ``unit_scale`` of its largest modulus, which is
     exact, so the products below neither overflow nor underflow.  The
@@ -168,13 +161,11 @@ def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray
     return holds[np.arange(len(states))[:, None], pivots]
 
 
-def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
-    """Whether ``state`` is a product across ``block`` (sorted qubit
-    positions) and the rest, by the leaf's threshold rule against one pivot:
-    with M the unfolding across the cut and M_rc its largest entry, every
+def _rank_one(m: np.ndarray, tol: float) -> bool:
+    """Whether the rows of ``m``, scaled by ``unit_scale`` whole or row by
+    row, are proportional: with M_rc the largest entry, every
     |M_ij M_rc - M_ic M_rj| is at most ``tol * |M_rc| * max_j |M_ij|``.
-    Linear in the number of amplitudes; no singular values."""
-    m = _matricize(state.amplitudes, state.num_qubits, block) * unit_scale(state._largest())
+    Linear; the largest cross minor of all is at most twice theirs."""
     moduli = np.abs(m)
     r, c = np.unravel_index(moduli.argmax(), m.shape)
     minors = np.abs(m * m[r, c] - np.outer(m[:, c], m[r]))
@@ -184,17 +175,29 @@ def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> b
     return bool((minors <= tol * moduli[r, c] * moduli.max(axis=1)[:, None]).all())
 
 
-def max_cross_minor(u, v) -> float:
-    """Largest |u_i v_j - u_j v_i| over all index pairs.
+def _product_across(state: StateVector, block: Tuple[int, ...], tol: float) -> bool:
+    """Whether ``state`` is a product across sorted ``block`` and the rest."""
+    m = _matricize(state.amplitudes, state.num_qubits, block) * unit_scale(state._largest())
+    return _rank_one(m, tol)
 
-    Zero exactly when one vector is a scalar multiple of the other
-    (including the zero multiple).
-    """
+
+def _read_pair(u, v) -> Tuple[np.ndarray, np.ndarray]:
+    """u and v, each read once and flattened, of one nonzero length."""
     u, v = (_numbers(x, "vector entries")[0].reshape(-1) for x in (u, v))
     if u.size != v.size:
         raise ValueError(f"vector lengths differ: {u.size} vs {v.size}")
     if u.size == 0:
         raise ValueError("vectors must have at least one entry")
+    return u, v
+
+
+def max_cross_minor(u, v) -> float:
+    """Largest |u_i v_j - u_j v_i| over all index pairs.
+
+    Zero exactly when one vector is a scalar multiple of the other (the
+    zero multiple too).  Quadratic in the length; no test decides by it.
+    """
+    u, v = _read_pair(u, v)
     # Blocks of at most 2^16 minors keep memory flat in d; each minor keeps the
     # operand order of u_i v_j - u_j v_i, so no bit depends on the block height.
     height = max(1, (1 << 16) // u.size)
@@ -207,25 +210,20 @@ def max_cross_minor(u, v) -> float:
 def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
     """True when u and v are proportional within a relative tolerance.
 
-    The threshold scales with max|u| * max|v|, so the answer is invariant
-    under rescaling either vector; each is first scaled by ``unit_scale``
-    of its largest modulus, so the minors neither overflow nor underflow
-    at extreme scales.  A numerically zero vector counts as proportional
-    to anything (scaling factor zero).
+    Each is scaled by ``unit_scale`` of its largest modulus, so the
+    threshold scales with max|u| * max|v| (the answer is invariant under
+    rescaling either vector) and the minors neither overflow nor underflow.
+    A numerically zero vector counts as proportional to anything.
     """
     check_tolerance(tol)
-    u, v = (_numbers(x, "vector entries")[0].reshape(-1) for x in (u, v))
-    u, v = (x * unit_scale(largest_modulus(x)) for x in (u, v))
-    scale = largest_modulus(u) * largest_modulus(v)
-    return max_cross_minor(u, v) <= tol * scale
+    u, v = _read_pair(u, v)
+    return _rank_one(np.array([x * unit_scale(largest_modulus(x)) for x in (u, v)]), tol)
 
 
 def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
-    """True when every vector is proportional to a common nonzero pivot.
-
-    The pivot is the member with the largest entry in modulus.  An
-    all-zero family is proportional by convention.
-    """
+    """True when every vector is proportional, as ``pair_proportional``
+    tests, to a common nonzero pivot: the member with the largest entry in
+    modulus, the first on ties.  An all-zero family is proportional."""
     check_tolerance(tol)
     vs = [_numbers(v, "vector entries")[0].reshape(-1) for v in vectors]
     if len(vs) < 2:
@@ -236,24 +234,25 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
     pivot = int(np.argmax(maxes))
     if maxes[pivot] == 0.0:
         return True
+    vs = [v * unit_scale(m) for v, m in zip(vs, maxes)]
     return all(
-        pair_proportional(vs[pivot], v, tol) for i, v in enumerate(vs) if i != pivot
+        _rank_one(np.array((vs[pivot], v)), tol) for i, v in enumerate(vs) if i != pivot
     )
 
 
 def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) -> bool:
     """True when a = lambda * b for some nonzero complex lambda.
 
-    Decided by ``pair_proportional``, so the answer is invariant under
-    rescaling either state.  Two zero states are equal; a zero and a
-    nonzero state are not (lambda would have to vanish).
+    Decided as ``pair_proportional`` decides the amplitudes, with no new
+    read, so the answer is invariant under rescaling either state.  Two
+    zero states are equal; a zero and a nonzero state are not.
     """
     check_tolerance(tol)
     if a.num_qubits != b.num_qubits:
         raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
-    return pair_proportional(a.amplitudes, b.amplitudes, tol)
+    return _rank_one(np.array([s.amplitudes * unit_scale(s._largest()) for s in (a, b)]), tol)
 
 
 def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:

@@ -78,13 +78,14 @@ def ppt_2qubit(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Exact separability of a two-qubit density matrix (True = separable).
 
     Transposes the second qubit's indices and checks the smallest
-    eigenvalue against -tol.  The input is normalized to unit trace;
+    eigenvalue against -tol.  The input is scaled exactly to unit trace;
     non-Hermitian input (beyond 1e-10 relative) is rejected.
     """
     check_tolerance(tol)
     rho = _numbers(rho, "density matrix entries")[0]
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
+    rho = rho * unit_scale(largest_modulus(rho))  # exact; the trace cannot overflow
     if float(np.abs(rho - rho.conj().T).max()) > 1e-10 * largest_modulus(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))

@@ -1,7 +1,8 @@
 """Shared test utilities: a numpy stand-in that fails on any use, random
 partitions, product states, an independent bit-string reimplementation
-of the qubit-loss projection and a memo-free reimplementation of the
-detector's recursion."""
+of the qubit-loss projection, a memo-free reimplementation of the
+detector's recursion, and the all-minors proportionality rule that the
+exact leaf's kernel implements."""
 
 from __future__ import annotations
 
@@ -16,8 +17,12 @@ from qubitloss import (
     VerdictKind,
     detect_base,
     lose_qubit,
+    max_cross_minor,
     random_product_state,
     random_state,
+)
+from qubitloss.states import (
+    DEFAULT_TOL, _numbers, check_tolerance, largest_modulus, unit_scale,
 )
 
 
@@ -141,3 +146,34 @@ def reference_detect(state: StateVector, labels=None, tol: float = 1e-9) -> Verd
                 certificate=Certificate(labels, "two-projections", lost, children),
             )
     return Verdict(VerdictKind.INCONCLUSIVE)
+
+
+def all_minors_pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
+    """Whether u and v are proportional by every cross minor: the largest,
+    ``max_cross_minor`` of the two each scaled by ``unit_scale`` of its
+    largest modulus, is at most tol * max|u| * max|v| of the scaled pair.
+    A numerically zero vector counts as proportional to anything."""
+    check_tolerance(tol)
+    u, v = (_numbers(x, "vector entries")[0].reshape(-1) for x in (u, v))
+    u, v = (x * unit_scale(largest_modulus(x)) for x in (u, v))
+    scale = largest_modulus(u) * largest_modulus(v)
+    return max_cross_minor(u, v) <= tol * scale
+
+
+def all_minors_family_proportional(vectors, tol: float = DEFAULT_TOL) -> bool:
+    """Whether every vector is proportional, by every cross minor, to the
+    member with the largest entry in modulus (the first on ties): the rule
+    of the exact leaf's kernel.  An all-zero family is proportional."""
+    check_tolerance(tol)
+    vs = [_numbers(v, "vector entries")[0].reshape(-1) for v in vectors]
+    if len(vs) < 2:
+        raise ValueError("a family needs at least two vectors")
+    if any(v.size != vs[0].size for v in vs):
+        raise ValueError("family vectors must all have the same length")
+    maxes = [largest_modulus(v) for v in vs]
+    pivot = int(np.argmax(maxes))
+    if maxes[pivot] == 0.0:
+        return True
+    return all(
+        all_minors_pair_proportional(vs[pivot], v, tol) for i, v in enumerate(vs) if i != pivot
+    )

@@ -3,7 +3,8 @@
 ``detect_base`` and ``all_factorizations`` test every candidate split in
 one vectorized pass, the leaf kernel called on one state.  The reference
 below tests the splits one at a time with ``coefficient_groups`` and
-``family_proportional``, as the leaf did before it was vectorized; the
+``all_minors_family_proportional`` (``tests/helpers.py``), the rule the
+kernel implements, as the leaf did before it was vectorized; the
 two must agree exactly (verdict, witness partitions in reporting order,
 and families), at the default tolerance and at tolerance 0.  The leaf's
 verdict must not depend on the scale of the amplitudes, however large or
@@ -26,13 +27,14 @@ from qubitloss import (
     coefficient_groups,
     detect,
     detect_base,
-    family_proportional,
     product_state,
     random_product_state,
     random_state,
     sufficient_3q,
 )
 from qubitloss.base import CANDIDATE_SPLITS, _proportional_masks
+
+from helpers import all_minors_family_proportional
 
 TOLERANCES = (1e-9, 0.0)
 
@@ -45,7 +47,7 @@ def reference_factorizations(state, tol):
     found = []
     for block in CANDIDATE_SPLITS[n]:
         vectors = [amps[g] for g in coefficient_groups(n, block)]
-        if family_proportional(vectors, tol):
+        if all_minors_family_proportional(vectors, tol):
             found.append(
                 FactorizationWitness(
                     partition=Bipartition.from_block(n, block),

@@ -185,6 +185,15 @@ class TestPpt:
         with pytest.raises(ValueError):
             ppt_2qubit(np.eye(8) / 8)
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-320, 5e-324])
+    def test_extreme_scales_decide_as_scale_one(self, scale):
+        # Unscaled, the trace of 1e308 times the Bell projector overflows and
+        # rho / inf, the zero matrix, passes; 1e-320 I failed to converge.
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 1.0
+        assert not ppt_2qubit(scale * bell)
+        assert ppt_2qubit(scale * np.eye(4))
+
 
 class TestPptHermiticityIsRelative:
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20, 1e20])

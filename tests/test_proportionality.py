@@ -15,8 +15,11 @@ from qubitloss import (
     product_state,
     random_state,
 )
+import qubitloss.base as base
 from qubitloss.base import equal_up_to_scale
-from qubitloss.states import StateVector
+from qubitloss.states import StateVector, largest_modulus, unit_scale
+
+from helpers import all_minors_family_proportional, all_minors_pair_proportional
 
 
 class TestPairs:
@@ -117,7 +120,7 @@ def test_blocked_minors_match_the_whole_matrix_bitwise(d):
 
 def test_equal_up_to_scale_memory_stays_flat_at_11_qubits():
     # The whole 2048 x 2048 minor matrix would take 64 MiB per complex
-    # temporary; formed a block of rows at a time it takes a few MiB.
+    # temporary; the minors against one pivot take a few hundred KiB.
     rng = np.random.default_rng(11)
     a, b = random_state(rng, 11), random_state(rng, 11)
     tracemalloc.start()
@@ -190,3 +193,78 @@ def test_two_entry_pairs_reduce_to_the_single_minor(rng):
         tol = 10 ** rng.uniform(-12, 0)
         scale = np.abs(u).max() * np.abs(v).max()
         assert pair_proportional(u, v, tol) == (minor <= tol * scale)
+
+
+def test_each_vector_is_read_once(monkeypatch):
+    a = random_state(np.random.default_rng(3), 3)
+    b = StateVector(3, a.amplitudes * (0.3 - 2j))
+    reads, numbers = [], base._numbers
+
+    def counted(values, what):
+        reads.append(what)
+        return numbers(values, what)
+
+    monkeypatch.setattr(base, "_numbers", counted)
+    assert pair_proportional([1, 2], [2, 4])
+    assert reads == ["vector entries"] * 2
+    reads.clear()
+    assert family_proportional([(1, 2), (0, 0), (3, 6), (-1j, -2j)])
+    assert reads == ["vector entries"] * 4
+    reads.clear()
+    assert equal_up_to_scale(a, b)
+    assert reads == []
+
+
+def test_sixteen_qubit_states_form_no_quadratic_minors(monkeypatch):
+    # Every cross minor of two 2^16-entry vectors took about a minute.
+    def quadratic(u, v):
+        raise AssertionError("decided through every cross minor")
+
+    monkeypatch.setattr(base, "max_cross_minor", quadratic)
+    rng = np.random.default_rng(16)
+    a, b = random_state(rng, 16), random_state(rng, 16)
+    assert equal_up_to_scale(a, StateVector(16, a.amplitudes * (0.3 - 2j)))
+    assert not equal_up_to_scale(a, b)
+    assert pair_proportional(a.amplitudes, 1e-300 * a.amplitudes)
+    assert not family_proportional([a.amplitudes, a.amplitudes, b.amplitudes])
+
+
+def _noisy_family(rng, members):
+    """``members`` vectors lambda_k u + eps_k noise with one u of 2..128
+    complex Gaussian entries, eps_k from 1e-14 to 1e-4."""
+    d = int(rng.integers(2, 129))
+    u = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return [
+        complex(*rng.normal(size=2)) * u
+        + 10 ** rng.uniform(-14, -4) * (rng.normal(size=d) + 1j * rng.normal(size=d))
+        for _ in range(members)
+    ]
+
+
+def _largest_minor_over_threshold(family, tol):
+    """The all-minors reference's largest cross minor against the family's
+    pivot over its threshold, for the member where that ratio is largest."""
+    vs = [np.asarray(v) * unit_scale(largest_modulus(v)) for v in family]
+    pivot = int(np.argmax([largest_modulus(v) for v in family]))
+    return max(
+        max_cross_minor(vs[pivot], v) / (tol * largest_modulus(vs[pivot]) * largest_modulus(v))
+        for i, v in enumerate(vs) if i != pivot
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_the_pivot_test_flips_only_false_to_true_within_twice_the_threshold(tol):
+    # The minors against the pivot, P, and all the cross minors, A, satisfy
+    # P <= A <= 2P, so where the all-minors rule says True the pivot test
+    # does, and where they differ A lies in (T, 2T] of the threshold T.
+    rng = np.random.default_rng(round(-np.log10(tol)))
+    for trial in range(3000):
+        members = 2 if trial < 2000 else int(rng.integers(2, 5))
+        family = _noisy_family(rng, members)
+        if members == 2:
+            got, want = pair_proportional(*family, tol), all_minors_pair_proportional(*family, tol)
+        else:
+            got, want = family_proportional(family, tol), all_minors_family_proportional(family, tol)
+        assert got or not want
+        if got != want:
+            assert 1.0 < _largest_minor_over_threshold(family, tol) <= 2.0
