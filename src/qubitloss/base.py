@@ -230,6 +230,8 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("a family needs at least two vectors")
     if any(v.size != vs[0].size for v in vs):
         raise ValueError("family vectors must all have the same length")
+    if vs[0].size == 0:
+        raise ValueError("vectors must have at least one entry")
     maxes = [largest_modulus(v) for v in vs]
     pivot = int(np.argmax(maxes))
     if maxes[pivot] == 0.0:

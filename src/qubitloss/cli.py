@@ -32,9 +32,8 @@ from . import __version__
 from .base import all_factorizations, equal_up_to_scale
 from .catalog import CATALOG_KEYS, ghz, named_state, w_state
 from .detect import (
-    Certificate,
-    _preorder,
     VerdictKind,
+    _certificate_json,
     detect,
     detect_with_trace,
     entanglement_measure,
@@ -155,25 +154,6 @@ def _partition_json(part: Bipartition | None):
     if part is None:
         return None
     return {"block_a": list(part.block_a), "block_b": list(part.block_b)}
-
-
-def _certificate_json(cert: Certificate | None):
-    if cert is None:
-        return None
-    nodes = [node for node, _, repeat in _preorder(cert) if not repeat]
-    index = {id(node): i for i, node in enumerate(nodes)}
-    return {
-        "format": "dag",
-        "nodes": [
-            {
-                "qubits": list(node.qubits),
-                "rule": node.rule,
-                "lost": list(node.lost) if node.lost else None,
-                "children": [index[id(child)] for child in node.children],
-            }
-            for node in nodes
-        ],
-    }
 
 
 def _timed(fn, state: StateVector, tol: float):

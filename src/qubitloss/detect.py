@@ -373,3 +373,22 @@ def format_certificate(certificate: Certificate, indent: int = 0) -> str:
             what = "certified by projections losing qubit {} and qubit {}".format(*node.lost)
         lines.append(f"{'  ' * (indent + depth)}{qubits}  {what}")
     return "\n".join(lines)
+
+
+def _certificate_json(cert: Certificate | None):
+    if cert is None:
+        return None
+    nodes = [node for node, _, repeat in _preorder(cert) if not repeat]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return {
+        "format": "dag",
+        "nodes": [
+            {
+                "qubits": list(node.qubits),
+                "rule": node.rule,
+                "lost": list(node.lost) if node.lost else None,
+                "children": [index[id(child)] for child in node.children],
+            }
+            for node in nodes
+        ],
+    }

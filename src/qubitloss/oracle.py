@@ -30,6 +30,8 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     check_tolerance(tol)
     m = _numbers(matrix, "matrix entries")[0]
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     # Scaled exactly so that no singular value overflows or underflows.
     sigma = np.linalg.svd(m * unit_scale(largest_modulus(m)), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:

@@ -15,12 +15,12 @@ matrices); ``check_tolerance`` every tolerance.  ``largest_modulus`` (with
 Losing qubit k adds, for every remaining bit pattern, the two amplitudes
 that differ only in qubit k's bit: viewed as an array of shape
 (2^(k-1), 2, 2^(n-k)), one add of its two halves along the middle axis,
-the only pass over the amplitudes.  Every state carries an upper bound on
-its real and imaginary parts (a built state its largest part, which
-``_numbers`` takes in the pass that checks finiteness; a projection twice
-its input's bound), which proves that the sums cannot overflow and, from
-the first amplitude alone, settles the zero rule whenever it is not close;
-only then is a largest modulus taken.
+the only pass over the amplitudes.  Every state carries a bound on its
+real and imaginary parts, 0.0 exactly when it is zero (a built state's
+largest part, taken in ``_numbers``'s finiteness pass; a projection's
+twice its input's, or 0.0), which proves the sums cannot overflow and,
+from the first amplitude alone, settles the zero rule whenever it is
+not close; only then is a largest modulus taken.
 The projection is linear, losses of different qubits commute, and the
 result is a pure state, unlike a partial trace.  It is never
 renormalized, and one that vanishes counts as a product.
@@ -137,7 +137,7 @@ def _numbers(values, what: str) -> Tuple[np.ndarray, float]:
 class StateVector:
     """Immutable amplitude vector of a pure n-qubit state (not normalized)."""
 
-    __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound", "_adopted")
+    __slots__ = ("num_qubits", "amplitudes", "_max_abs", "_bound")
 
     def __init__(self, num_qubits: int, amplitudes) -> None:
         num_qubits = check_qubit_count(num_qubits)
@@ -145,16 +145,17 @@ class StateVector:
         if amps.size != 1 << num_qubits:
             raise ValueError(f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                              f"got {amps.size}")
-        _fill(self, num_qubits, amps.reshape(-1), bound, False)
+        _fill(self, num_qubits, amps.reshape(-1), bound, None)
 
     @classmethod
-    def _adopt(cls, num_qubits: int, amps: np.ndarray, bound: float) -> "StateVector":
+    def _adopt(cls, num_qubits: int, amps: np.ndarray, bound: float,
+               largest: float | None) -> "StateVector":
         """Wrap a fresh complex array of 2^n finite amplitudes, with no copy
-        and no checks, and ``bound``, at least every real and imaginary part
-        of them; the array becomes read-only and must not be shared.  Its
-        ``largest_modulus`` is taken only when something asks for it."""
+        and no checks (it becomes read-only and must not be shared); ``bound``
+        caps every part and ``largest`` is their ``largest_modulus``, or None
+        if they are not all 0, so the state's bound is 0.0 exactly when it is zero."""
         self = object.__new__(cls)
-        _fill(self, num_qubits, amps, bound, True)
+        _fill(self, num_qubits, amps, 0.0 if largest == 0.0 else bound, largest)
         return self
 
     def __setattr__(self, name, value):
@@ -193,9 +194,8 @@ class StateVector:
         return StateVector(self.num_qubits, scaled / n)
 
     def is_zero(self) -> bool:
-        # A built state's bound is its largest part; an adopted one's only
-        # caps its parts.
-        return self._largest() == 0.0 if self._adopted else self._bound == 0.0
+        """Whether every amplitude is 0: the part bound is 0.0 exactly then."""
+        return self._bound == 0.0
 
     def __repr__(self) -> str:
         n = self.num_qubits
@@ -210,19 +210,19 @@ class StateVector:
 
 
 # The slots' own setters, which ``__setattr__`` does not block.
-_SET_QUBITS, _SET_AMPS, _SET_MAX_ABS, _SET_BOUND, _SET_ADOPTED = (
+_SET_QUBITS, _SET_AMPS, _SET_MAX_ABS, _SET_BOUND = (
     StateVector.__dict__[name].__set__ for name in StateVector.__slots__
 )
 
 
-def _fill(state: StateVector, num_qubits: int, amps: np.ndarray, bound: float, adopted: bool):
+def _fill(state: StateVector, num_qubits: int, amps: np.ndarray, bound: float,
+          max_abs: float | None):
     """Set every slot of a new state; ``amps`` becomes read-only."""
     amps.setflags(write=False)
     _SET_QUBITS(state, num_qubits)
     _SET_AMPS(state, amps)
-    _SET_MAX_ABS(state, None)
+    _SET_MAX_ABS(state, max_abs)
     _SET_BOUND(state, bound)
-    _SET_ADOPTED(state, adopted)
 
 
 def basis_index(bits, num_qubits: int | None = None) -> int:
@@ -388,17 +388,16 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
     bound = 2.0 * state._bound
     if bound > sys.float_info.max and not np.isfinite(out.view(np.float64)).all():
         raise ProjectionOverflow(k, range(1, n + 1))
-    projected = StateVector._adopt(n - 1, out, bound)
     # The zero rule compares largest moduli.  The input's bound is at least
-    # each of its parts (a built state's largest part, or a projection's
-    # carried bound), so its largest modulus is at most sqrt(2) times that,
-    # below ``bound``, while |out[0]| is at least its larger part: a part of
-    # out[0] above the threshold at ``bound`` settles "not zero" with no pass
-    # over either state.
+    # each of its parts, so its largest modulus is at most sqrt(2) times
+    # that, below ``bound``, while |out[0]| is at least its larger part: a
+    # part of out[0] above the threshold at ``bound`` settles "not zero"
+    # with no pass over either state.
     first = out.item(0)
-    settled = max(abs(first.real), abs(first.imag)) > DEFAULT_ZERO_RTOL * bound
-    is_zero = not settled and projected._largest() <= DEFAULT_ZERO_RTOL * state._largest()
-    return ProjectionResult(projected, k, is_zero)
+    close = max(abs(first.real), abs(first.imag)) <= DEFAULT_ZERO_RTOL * bound
+    largest = largest_modulus(out) if close else None
+    is_zero = largest is not None and largest <= DEFAULT_ZERO_RTOL * state._largest()
+    return ProjectionResult(StateVector._adopt(n - 1, out, bound, largest), k, is_zero)
 
 
 def all_projections(state: StateVector) -> List[ProjectionResult]:

@@ -1,8 +1,8 @@
 """Shared test utilities: a numpy stand-in that fails on any use, random
-partitions, product states, an independent bit-string reimplementation
-of the qubit-loss projection, a memo-free reimplementation of the
-detector's recursion, and the all-minors proportionality rule that the
-exact leaf's kernel implements."""
+partitions, product states, states whose projection nearly cancels, an
+independent bit-string reimplementation of the qubit-loss projection, a
+memo-free reimplementation of the detector's recursion, and the
+all-minors proportionality rule that the exact leaf's kernel implements."""
 
 from __future__ import annotations
 
@@ -92,6 +92,27 @@ def with_overflowing_moduli(state: StateVector) -> StateVector:
     are finite, the modulus is not."""
     amps = np.where(state.amplitudes != 0, 1.5e308 * (1 + 1j), 0)
     return StateVector(state.num_qubits, amps)
+
+
+def near_cancelling(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Amplitudes on n qubits whose pairs across qubit k cancel to a relative
+    1e-13..1e-11, one order per state, times a scale in 1e-300..1e300.  In
+    one draw of two the first amplitude is the largest, at phase pi/4, so
+    its modulus is sqrt(2) times the largest part and the screen settles
+    near its threshold; in one of four the first pair cancels exactly, so
+    the screen cannot settle it."""
+    d = 1 << (n - 1)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    delta = 10.0 ** rng.uniform(-13, -11) * rng.uniform(0.5, 1, d)
+    delta = delta * np.exp(2j * np.pi * rng.random(d))
+    if rng.random() < 0.5:
+        x[0] = 2 * np.abs(x).max() * np.exp(0.25j * np.pi)
+    if rng.random() < 0.25:
+        delta[0] = 0.0
+    pairs = np.empty((1 << (k - 1), 2, 1 << (n - k)), dtype=complex)
+    pairs[:, 0] = x.reshape(1 << (k - 1), -1)
+    pairs[:, 1] = -(x * (1 + delta)).reshape(1 << (k - 1), -1)
+    return pairs.reshape(-1) * 10.0 ** rng.uniform(-300, 300)
 
 
 def project_by_bits(state: StateVector, k: int) -> np.ndarray:

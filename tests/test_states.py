@@ -10,6 +10,7 @@ from qubitloss import (
     Bipartition,
     StateVector,
     all_bipartitions,
+    all_projections,
     basis_index,
     basis_state,
     cluster4,
@@ -27,6 +28,7 @@ from qubitloss import (
     lose_qubit_set,
     max_cross_minor,
     named_state,
+    numerical_rank,
     partial_trace,
     phi4,
     ppt_2qubit,
@@ -37,8 +39,9 @@ from qubitloss import (
     unfold,
     w_state,
 )
-from qubitloss.states import ProjectionOverflow
-from helpers import with_overflowing_moduli
+from qubitloss import states
+from qubitloss.states import ProjectionOverflow, largest_modulus
+from helpers import near_cancelling, with_overflowing_moduli
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -111,6 +114,50 @@ class TestConstruction:
         assert res.is_zero and res.state.is_zero()
         assert np.array_equal(res.state.amplitudes, [0, 0])
         assert not lose_qubit(state, 1).is_zero and not lose_qubit(state, 1).state.is_zero()
+
+    def test_part_bound_is_zero_exactly_for_the_zero_state(self):
+        # Every state's bound caps its parts and is 0.0 exactly when it is
+        # zero, built or projected, so ``is_zero`` reads the bound alone.
+        rng = np.random.default_rng(11)
+        minus_ghz = tensor(StateVector(1, [1, -1]), ghz(3))
+        vanished = lose_qubit(minus_ghz, 1)
+        assert vanished.is_zero
+        cases = [
+            StateVector(2, np.zeros(4)),
+            random_state(rng, 5),
+            StateVector(3, random_state(rng, 3).amplitudes * 5e-324),
+            with_overflowing_moduli(ghz(4)),
+            *(res.state for res in all_projections(random_state(rng, 5))),
+            lose_qubit(with_overflowing_moduli(ghz(4)), 1).state,
+            vanished.state,
+            lose_qubit(vanished.state, 1).state,
+            lose_qubit_set(random_state(rng, 6), [2, 5]),
+            lose_qubit_set(minus_ghz, [1, 3]),
+        ]
+        settled = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n + 1))
+            state = lose_qubit(StateVector(n, near_cancelling(rng, n, k)), k).state
+            settled.add(state._max_abs is None)
+            cases.append(state)
+        assert settled == {True, False}
+        for state in cases:
+            amps = state.amplitudes
+            assert state.is_zero() == (not amps.any())
+            assert (state._bound == 0.0) == state.is_zero()
+            assert np.abs(amps.view(np.float64)).max() <= state._bound
+            assert state._max_abs is None or state._max_abs == largest_modulus(amps)
+
+    def test_is_zero_of_a_settled_projection_takes_no_modulus(self, monkeypatch):
+        res = lose_qubit(ghz(4), 2)  # |out[0]| = 1/sqrt(2) settles the screen
+        assert res.state._max_abs is None
+
+        def no_modulus(values):
+            raise AssertionError("largest_modulus taken")
+
+        monkeypatch.setattr(states, "largest_modulus", no_modulus)
+        assert res.state.is_zero() is False
 
     def test_overflowing_moduli_project_as_before(self):
         # Parts of 1.5e308 are finite, their moduli are not.  A sum of one
@@ -464,6 +511,11 @@ def _not_numbers(dtype):
      "factor on (1, 2) has 1 qubits, expected 2"),
     (lambda: max_cross_minor([], []), "vectors must have at least one entry"),
     (lambda: family_proportional([[1, 2], [1]]), "family vectors must all have the same length"),
+    (lambda: family_proportional([[], []]), "vectors must have at least one entry"),
+    (lambda: family_proportional([[], [], []]), "vectors must have at least one entry"),
+    (lambda: numerical_rank(5), "expected a 2-D matrix, got shape ()"),
+    (lambda: numerical_rank([1, 2, 3]), "expected a 2-D matrix, got shape (3,)"),
+    (lambda: numerical_rank(np.ones((2, 2, 2))), "expected a 2-D matrix, got shape (2, 2, 2)"),
     (lambda: ppt_2qubit(np.zeros((4, 4))), "density matrix trace must be positive, got 0j"),
     # More digits than int() reads from text by default.
     (lambda: loads_state("qubits: " + "9" * 5000), _TOO_MANY_DIGITS),
@@ -477,7 +529,8 @@ def _not_numbers(dtype):
     (lambda: StateVector.from_amplitudes(["1_0", "0", "0", "1"]), _not_numbers("<U3")),
     (lambda: StateVector.from_amplitudes(np.ones(4, dtype=bool)), _not_numbers("bool")),
 ], ids=["format", "bits", "bit-count", "labels", "repeated", "out-of-range",
-        "bipartitions", "factor-size", "empty-minor", "family-lengths", "trace",
+        "bipartitions", "factor-size", "empty-minor", "family-lengths", "empty-family-2",
+        "empty-family-3", "rank-0d", "rank-1d", "rank-3d", "trace",
         "count-5000-digits", "dicke-5000-digits", "amp-underscore", "amp-arabic-digit",
         "amp-spaces", "amp-bools", "amp-object-text", "from-amp-underscore",
         "from-amp-bools"])
