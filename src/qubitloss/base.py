@@ -21,8 +21,9 @@ once with ``states._numbers``, and ``equal_up_to_scale`` to two states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -196,15 +197,24 @@ def max_cross_minor(u, v) -> float:
 
     Zero exactly when one vector is a scalar multiple of the other (the
     zero multiple too).  Quadratic in the length; no test decides by it.
+    Each vector is scaled by its ``unit_scale`` first, which is exact, so no
+    product overflows; scaled back once, the result is inf past the float
+    range and 0.0 below it.
     """
     u, v = _read_pair(u, v)
+    su, sv = (unit_scale(largest_modulus(x)) for x in (u, v))
+    u, v = u * su, v * sv
     # Blocks of at most 2^16 minors keep memory flat in d; each minor keeps the
     # operand order of u_i v_j - u_j v_i, so no bit depends on the block height.
     height = max(1, (1 << 16) // u.size)
-    return float(reduce(np.maximum, (  # np.maximum, not max: NaN propagates
-        np.abs(np.outer(u[r : r + height], v) - np.outer(u, v[r : r + height]).T).max()
+    minor = max(
+        float(np.abs(np.outer(u[r : r + height], v) - np.outer(u, v[r : r + height]).T).max())
         for r in range(0, u.size, height)
-    )))
+    )
+    try:  # times 1 / (su sv) at once: dividing by each in turn can overflow midway
+        return math.ldexp(minor, 2 - math.frexp(su)[1] - math.frexp(sv)[1])
+    except OverflowError:
+        return math.inf
 
 
 def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:

@@ -471,10 +471,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 3
         return int(exc.code or 0)
     try:
-        # An overflowing projection raises ValueError below; numpy's own
-        # overflow warning would add lines to the one-line error.
-        with np.errstate(over="ignore"):
-            code, text = args.func(args)
+        code, text = args.func(args)
         _write(sys.stdout, text)
         return code
     except (ValueError, OSError) as exc:

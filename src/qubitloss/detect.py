@@ -34,8 +34,7 @@ from .base import (
     CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
 )
 from .states import (
-    DEFAULT_TOL, Bipartition, ProjectionOverflow, ProjectionResult, StateVector, check_tolerance,
-    lose_qubit,
+    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, check_tolerance, lose_qubit,
 )
 
 
@@ -76,9 +75,10 @@ _VANISHED = Verdict(kind=VerdictKind.NOT_GENUINE)
 # A product cut of a subset's state, as the labels of one side.
 _Cut = Tuple[int, ...]
 
-# The walker's memo: for each subset of surviving qubit labels, its verdict
-# and a product cut of its state, if one is known.
-_Cache = Dict[Tuple[int, ...], Tuple[Verdict, Optional[_Cut]]]
+# The walker's memo: for each subset of surviving qubit labels, an entry of
+# its verdict and a product cut of its state, if one is known.
+_Entry = Tuple[Verdict, Optional[_Cut]]
+_Cache = Dict[Tuple[int, ...], _Entry]
 
 _ROW_ENTRY = {
     VerdictKind.GENUINE: "entangled",
@@ -129,58 +129,48 @@ class SweepReport:
 MeasureReport = TraceReport = SufficientCheck = SweepReport
 
 
-def _relabel_witness(
-    witness: FactorizationWitness | None, labels: Tuple[int, ...]
-) -> FactorizationWitness | None:
-    if witness is None:
-        return None
-    part = Bipartition(
-        tuple(labels[q - 1] for q in witness.partition.block_a),
-        tuple(labels[q - 1] for q in witness.partition.block_b),
-    )
-    return FactorizationWitness(partition=part, family=witness.family)
-
-
-def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> Verdict:
-    """The exact test on 2..4 qubits; a lone qubit is a product."""
+def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> _Entry:
+    """The exact test on 2..4 qubits as the walker's memo entry: the verdict,
+    with its witness in ``labels``, and the witness's first block as the
+    product cut.  A lone qubit is a product with no witness."""
     if len(labels) < 2:
-        return Verdict(kind=VerdictKind.NOT_GENUINE)
+        return Verdict(kind=VerdictKind.NOT_GENUINE), None
     base = detect_base(state, tol)
     if base.genuinely_entangled:
-        return Verdict(
-            kind=VerdictKind.GENUINE,
-            certificate=Certificate(qubits=labels, rule="exact"),
-        )
-    return Verdict(
-        kind=VerdictKind.NOT_GENUINE, witness=_relabel_witness(base.witness, labels)
-    )
+        return Verdict(VerdictKind.GENUINE, certificate=Certificate(labels, "exact")), None
+    if base.witness is None:  # the zero state, which ``sufficient_3q`` may walk
+        return Verdict(kind=VerdictKind.NOT_GENUINE), None
+    part = base.witness.partition
+    cut, rest = (tuple(labels[q - 1] for q in block) for block in (part.block_a, part.block_b))
+    witness = FactorizationWitness(Bipartition(cut, rest), base.witness.family)
+    return Verdict(VerdictKind.NOT_GENUINE, witness=witness), cut
 
 
-def _project(state: StateVector, labels: Tuple[int, ...], pos: int) -> ProjectionResult:
-    """``lose_qubit(state, pos)``, where an overflow names the lost qubit
-    and the qubits it is lost from by their labels."""
+def _project(state: StateVector, labels: Tuple[int, ...], pos: int) -> Optional[StateVector]:
+    """``lose_qubit(state, pos)``'s state, or None where the zero rule says
+    it vanished; an overflow names the lost qubit and the qubits it is lost
+    from by their labels."""
     try:
-        return lose_qubit(state, pos)
+        proj = lose_qubit(state, pos)
     except ProjectionOverflow:
         raise ProjectionOverflow(labels[pos - 1], labels) from None
+    return None if proj.is_zero else proj.state
 
 
 def _child(
     state: StateVector, labels: Tuple[int, ...], pos: int, tol: float, cache: _Cache
-) -> Tuple[Verdict, Optional[_Cut]]:
+) -> _Entry:
     """Verdict on ``state`` with its ``pos``-th qubit lost, and a product cut
     of that projection if one is known, memoized in ``cache`` by the
     surviving labels; ``_VANISHED`` if the projection vanishes."""
     child_labels = labels[: pos - 1] + labels[pos:]
-    entry = cache.get(child_labels)
-    if entry is None:
+    if child_labels not in cache:
         proj = _project(state, labels, pos)
-        if proj.is_zero:
-            entry = cache[child_labels] = (_VANISHED, None)
+        if proj is None:
+            cache[child_labels] = _VANISHED, None
         else:
-            _walk(proj.state, child_labels, tol, cache)
-            entry = cache[child_labels]
-    return entry
+            _walk(proj, child_labels, tol, cache)
+    return cache[child_labels]
 
 
 def _verified_cut(
@@ -204,12 +194,10 @@ def _walk(state: StateVector, labels: Tuple[int, ...], tol: float, cache: _Cache
     child that is not certified carries a cut that ``state`` verifies
     (``_verified_cut``), the walk stops there, inconclusive, and records
     that cut."""
-    cut = None
     if len(labels) <= _EXACT_MAX:
-        verdict = _leaf(state, labels, tol)
-        if verdict.witness is not None:
-            cut = verdict.witness.partition.block_a
+        verdict, cut = _leaf(state, labels, tol)
     else:
+        cut = None
         certified: List[Tuple[int, Certificate]] = []
         for pos, lost in enumerate(labels, start=1):
             child, child_cut = _child(state, labels, pos, tol, cache)
@@ -348,9 +336,9 @@ def replay_certificate(
                     return False
                 if id(child) not in entered and child.qubits not in states:
                     proj = _project(current, labels, pos + 1)
-                    if proj.is_zero:
+                    if proj is None:
                         return False
-                    states[child.qubits] = proj.state
+                    states[child.qubits] = proj
     except ProjectionOverflow:
         # A leaf met before the overflow that fails the test decides first.
         if _all_genuine(leaves, tol):

@@ -382,12 +382,16 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     pairs = state.amplitudes.reshape(1 << (k - 1), 2, 1 << (n - k))
-    out = (pairs[:, 0] + pairs[:, 1]).ravel()
-    # Two parts of at most B round to a sum of at most 2B, so only a bound
-    # past the float maximum lets a sum overflow.
+    # Two parts of at most B round to a sum of at most 2B, so only a bound past
+    # the float maximum lets a sum overflow, and ProjectionOverflow reports it.
     bound = 2.0 * state._bound
-    if bound > sys.float_info.max and not np.isfinite(out.view(np.float64)).all():
-        raise ProjectionOverflow(k, range(1, n + 1))
+    if bound <= sys.float_info.max:
+        out = (pairs[:, 0] + pairs[:, 1]).ravel()
+    else:
+        with np.errstate(over="ignore"):
+            out = (pairs[:, 0] + pairs[:, 1]).ravel()
+        if not np.isfinite(out.view(np.float64)).all():
+            raise ProjectionOverflow(k, range(1, n + 1))
     # The zero rule compares largest moduli.  The input's bound is at least
     # each of its parts, so its largest modulus is at most sqrt(2) times
     # that, below ``bound``, while |out[0]| is at least its larger part: a

@@ -172,17 +172,31 @@ class TestDetectCommand:
         assert (code, err) == (0, "")
         assert "detector:  genuine (consistent)" in out
 
-    def test_overflowing_sums_exit_three_in_one_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, code", [
+        (("detect",), 3),
+        (("detect", "--exhaustive"), 3),
+        (("measure",), 3),
+        (("project", "--lose", "1,2"), 3),
+        (("oracle", "--compare"), 3),
+        (("project", "--all"), 0),
+        (("project", "--lose", "2"), 0),
+    ], ids=["detect", "detect-exhaustive", "measure", "project-lose-1,2", "oracle-compare",
+            "project-all", "project-lose-2"])
+    def test_overflowing_sums_exit_three_in_one_line(self, capsys, tmp_path, argv, code):
         # Once no projection vanishes, the walk reaches sums that overflow:
-        # losing input qubit 1 is fine, losing qubit 2 after it is not.
+        # losing input qubit 1 is fine, losing qubit 2 after it is not.  A
+        # command that loses one qubit at most exits 0 with no warning.
         path = tmp_path / "huge.state"
         path.write_text(dumps_state(with_overflowing_moduli(dicke(6, 2))))
-        code, out, err = run(capsys, "detect", "--file", str(path))
-        assert (code, out) == (3, "")
-        assert err == (
-            "qubitloss: error: losing qubit 2 from {2,3,4,5,6} gives amplitudes "
-            "that are not finite (the sums overflow)\n"
-        )
+        got, out, err = run(capsys, *argv, "--file", str(path))
+        assert got == code
+        if code:
+            assert (out, err) == ("", (
+                "qubitloss: error: losing qubit 2 from {2,3,4,5,6} gives amplitudes "
+                "that are not finite (the sums overflow)\n"
+            ))
+        else:
+            assert err == ""
 
 
 _NOT_ASCII = "a text state document must be ASCII with no underscore"

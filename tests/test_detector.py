@@ -320,11 +320,10 @@ class TestCertificates:
         overflow = re.escape(
             "losing qubit 2 from {2,3,4,5,6} gives amplitudes that are not finite"
         )
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=overflow):
-                detect(state)
-            with pytest.raises(ValueError, match=overflow):
-                replay_certificate(state, cert)
+        with pytest.raises(ValueError, match=overflow):
+            detect(state)
+        with pytest.raises(ValueError, match=overflow):
+            replay_certificate(state, cert)
 
     def test_children_drop_one_label_each(self):
         cert = detect(ghz(7)).certificate
@@ -416,15 +415,14 @@ class TestBatchedReplay:
         five = np.kron(1 + 0.25 * random_state(rng, 4).amplitudes, [1, 1])
         cert = _forge(self.SIX, self.CERT_SPEC)
         reversed_root = _forge(self.SIX, ((1, 6), self.CERT_SPEC[1][::-1]))
-        with np.errstate(over="ignore"):
-            assert not replay_certificate(self._huge(five), cert)
-            with pytest.raises(ProjectionOverflow):
-                replay_certificate(self._huge(five), reversed_root)
+        assert not replay_certificate(self._huge(five), cert)
+        with pytest.raises(ProjectionOverflow):
+            replay_certificate(self._huge(five), reversed_root)
 
     def test_passing_leaves_before_an_overflow_raise(self, rng):
         five = 1 + 0.25 * random_state(rng, 5).amplitudes
         cert = _forge(self.SIX, self.CERT_SPEC)
-        with np.errstate(over="ignore"), pytest.raises(ProjectionOverflow):
+        with pytest.raises(ProjectionOverflow):
             replay_certificate(self._huge(five), cert)
         for leaf in ((2, 3, 4, 5), (1, 3, 4, 5)):
             leaf_state = lose_qubit_set(StateVector(5, five), set(range(1, 6)) - set(leaf))
@@ -475,11 +473,10 @@ class TestMeasure:
         # The zero rule once compared every projection with an infinite
         # largest modulus, so all of them vanished and the walk gave up.
         state = with_overflowing_moduli(family(5))
-        with np.errstate(over="ignore"):
-            verdict = detect(state)
-            assert verdict.kind is VerdictKind.GENUINE
-            assert replay_certificate(state, verdict.certificate)
-            assert entanglement_measure(state).genuine_count == 5
+        verdict = detect(state)
+        assert verdict.kind is VerdictKind.GENUINE
+        assert replay_certificate(state, verdict.certificate)
+        assert entanglement_measure(state).genuine_count == 5
 
 
 class TestTrace:

@@ -60,12 +60,11 @@ class TestLoseQubit:
 
     def test_overflowing_projection_is_rejected(self):
         huge = StateVector(6, np.full(64, 1e308))
-        with np.errstate(over="ignore"):
-            overflow = r"losing qubit 1 from \{1,2,3,4,5,6\} .* not finite \(the sums overflow\)"
-            with pytest.raises(ValueError, match=overflow):
-                lose_qubit(huge, 1)
-            with pytest.raises(ValueError, match="finite"):
-                detect(huge)
+        overflow = r"losing qubit 1 from \{1,2,3,4,5,6\} .* not finite \(the sums overflow\)"
+        with pytest.raises(ValueError, match=overflow):
+            lose_qubit(huge, 1)
+        with pytest.raises(ValueError, match="finite"):
+            detect(huge)
 
     def test_zero_detection_is_scale_relative(self):
         minus = StateVector(1, [1, -1])
@@ -191,10 +190,9 @@ class TestLoseQubitSet:
         # are both lost, and qubit 4 is then the third of {1,3,4,5}.
         huge = StateVector(5, np.isin(np.arange(32), (0b00000, 0b01010)) * 1e308)
         assert not lose_qubit(huge, 4).is_zero
-        with np.errstate(over="ignore"):
-            overflow = r"losing qubit 4 from \{1,3,4,5\} .* \(the sums overflow\)"
-            with pytest.raises(ValueError, match=overflow):
-                lose_qubit_set(huge, (2, 4))
+        overflow = r"losing qubit 4 from \{1,3,4,5\} .* \(the sums overflow\)"
+        with pytest.raises(ValueError, match=overflow):
+            lose_qubit_set(huge, (2, 4))
 
 
 class TestProductStateProjections:

@@ -57,6 +57,18 @@ class TestPairs:
         assert pair_proportional([scale, 2 * scale], [1, 2])
         assert not pair_proportional([scale, 0], [0, 1])
 
+    @pytest.mark.parametrize("u, v, minor", [
+        ([1e200, 1e200], [1e200, 1e200], 0.0),
+        ([1e200 + 1e200j] * 2, [1e200 + 1e200j] * 2, 0.0),
+        ([1e200, 1], [1, 1e200], np.inf),  # about 1e400
+        ([1.7e308, 1.7e308], [-1e-300, 1e-300], 3.4e8),
+    ], ids=["equal-real-1e200", "equal-complex-1e200", "past-the-range", "huge-times-tiny"])
+    def test_minors_at_extreme_scales(self, u, v, minor):
+        # Unscaled, the equal vectors' products overflow and their minors
+        # read nan.  Scaled, a minor past the float range reads inf, and one
+        # within it keeps its value however far apart the two scales are.
+        assert max_cross_minor(u, v) == pytest.approx(minor, rel=1e-15, abs=0.0)
+
 
 class TestFamilies:
     def test_family_with_zero_member(self):
