@@ -232,7 +232,7 @@ def pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:
 
 def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
     """True when every vector is proportional, as ``pair_proportional``
-    tests, to a common nonzero pivot: the member with the largest entry in
+    tests, to a common pivot: the member with the largest entry in
     modulus, the first on ties.  An all-zero family is proportional."""
     check_tolerance(tol)
     vs = [_numbers(v, "vector entries")[0].reshape(-1) for v in vectors]
@@ -244,8 +244,6 @@ def family_proportional(vectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("vectors must have at least one entry")
     maxes = [largest_modulus(v) for v in vs]
     pivot = int(np.argmax(maxes))
-    if maxes[pivot] == 0.0:
-        return True
     vs = [v * unit_scale(m) for v, m in zip(vs, maxes)]
     return all(
         _rank_one(np.array((vs[pivot], v)), tol) for i, v in enumerate(vs) if i != pivot
@@ -269,13 +267,11 @@ def equal_up_to_scale(a: StateVector, b: StateVector, tol: float = DEFAULT_TOL) 
 
 def _proportional_splits(state: StateVector, tol: float) -> Iterator[FactorizationWitness]:
     """Witness for each candidate split that tests proportional, in
-    reporting order; none for the zero state."""
+    reporting order; every split for the zero state."""
     n = state.num_qubits
     if n not in CANDIDATE_SPLITS:
         raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
     check_tolerance(tol)
-    if state.is_zero():
-        return
     for s in np.flatnonzero(_proportional_masks([state], tol)[0]):
         block = CANDIDATE_SPLITS[n][s]
         rows = _matricize(state.amplitudes, n, block).tolist()
@@ -307,12 +303,9 @@ def detect_4q(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
 
 def detect_base(state: StateVector, tol: float = DEFAULT_TOL) -> BaseVerdict:
     """Exact decision for 2, 3 or 4 qubits: genuine iff no candidate split
-    is proportional.  The zero state is not genuine and has no witness."""
+    is proportional.  The zero state passes every split, so it is not genuine."""
     witness = next(_proportional_splits(state, tol), None)
-    return BaseVerdict(
-        genuinely_entangled=witness is None and not state.is_zero(),
-        witness=witness,
-    )
+    return BaseVerdict(genuinely_entangled=witness is None, witness=witness)
 
 
 def all_factorizations(

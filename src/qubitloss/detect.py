@@ -138,8 +138,6 @@ def _leaf(state: StateVector, labels: Tuple[int, ...], tol: float) -> _Entry:
     base = detect_base(state, tol)
     if base.genuinely_entangled:
         return Verdict(VerdictKind.GENUINE, certificate=Certificate(labels, "exact")), None
-    if base.witness is None:  # the zero state, which ``sufficient_3q`` may walk
-        return Verdict(kind=VerdictKind.NOT_GENUINE), None
     part = base.witness.partition
     cut, rest = (tuple(labels[q - 1] for q in block) for block in (part.block_a, part.block_b))
     witness = FactorizationWitness(Bipartition(cut, rest), base.witness.family)
@@ -297,19 +295,20 @@ def _all_genuine(leaves: Dict[int, List[StateVector]], tol: float) -> bool:
 
 
 def replay_certificate(
-    state: StateVector, certificate: Certificate, tol: float = DEFAULT_TOL
+    state: StateVector, certificate: Optional[Certificate], tol: float = DEFAULT_TOL
 ) -> bool:
     """Re-derive a certificate from scratch against the given state.
 
     Checks each distinct node once, projecting the state onto each subset
     it names once, with nothing taken from ``detect``.  The leaves' states
     are collected on the way and then decided by the exact test, one call
-    for all the leaves of each size.  True iff every step checks out.  An
-    inner node's projected state is dropped when the node is entered.
+    for all the leaves of each size.  True iff every step checks out, so
+    False for the None of an inconclusive verdict.  An inner node's
+    projected state is dropped when the node is entered.
     """
     check_tolerance(tol)
     root = tuple(range(1, state.num_qubits + 1))
-    if certificate.qubits != root:
+    if certificate is None or certificate.qubits != root:
         return False
     states, entered = {root: state}, set()
     leaves: Dict[int, List[StateVector]] = {}
@@ -347,9 +346,12 @@ def replay_certificate(
     return _all_genuine(leaves, tol)
 
 
-def format_certificate(certificate: Certificate, indent: int = 0) -> str:
+def format_certificate(certificate: Optional[Certificate], indent: int = 0) -> str:
     """Human-readable indented rendering of a certificate: each node under
-    its first parent, and a back-reference line under any other parent."""
+    its first parent, and a back-reference line under any other parent;
+    "" for the None of an inconclusive verdict."""
+    if certificate is None:
+        return ""
     lines = []
     for node, depth, repeat in _preorder(certificate):
         qubits = "{" + ",".join(map(str, node.qubits)) + "}"

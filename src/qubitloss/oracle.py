@@ -34,9 +34,7 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     # Scaled exactly so that no singular value overflows or underflows.
     sigma = np.linalg.svd(m * unit_scale(largest_modulus(m)), compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > tol * sigma.max(initial=0.0)))
 
 
 def find_product_cut(state: StateVector, tol: float = DEFAULT_TOL) -> Optional[Bipartition]:

@@ -119,10 +119,13 @@ def _numbers(values, what: str) -> Tuple[np.ndarray, float]:
     shape, and its largest real or imaginary part.  No bools or text, which
     NumPy's cast would read; the bound is taken in the one pass that checks
     finiteness, as a NaN or an infinity fails its comparison."""
-    a = np.asarray(values)  # an object array: ints past int64, or mixed types
-    if a.dtype.kind not in "iufc" and not (a.dtype.kind == "O" and all(
-            isinstance(x, numbers.Number) and not isinstance(x, bool) for x in a.flat)):
-        raise ValueError(f"{what} must be ints, floats or complex numbers, got dtype {a.dtype}")
+    a = given = np.asarray(values)  # an object array: ints past int64, or mixed types
+    if a.dtype.kind in "iufc" and not isinstance(values, np.ndarray):
+        given = np.array(values, dtype=object)  # NumPy casts a bool among numbers
+    if given.dtype.kind not in "iufc" and not (given.dtype.kind == "O" and all(
+            issubclass(t, numbers.Number) and not issubclass(t, bool)
+            for t in set(map(type, given.flat)))):
+        raise ValueError(f"{what} must be ints, floats or complex numbers, got dtype {given.dtype}")
     try:
         z = np.array(a, dtype=complex, order="C")
     except OverflowError:  # an int past the float range
@@ -170,11 +173,11 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build a state from a length-2^n vector, inferring n."""
-        amps = np.asarray(amplitudes)  # read once; ``__init__`` checks the entries
-        n = amps.size.bit_length() - 1
-        if amps.size < 2 or amps.size != 1 << n:
-            raise ValueError(f"length {amps.size} is not a power of two >= 2")
-        return cls(n, amps)
+        size = np.size(amplitudes)  # ``__init__`` reads the entries as given
+        n = size.bit_length() - 1
+        if size < 2 or size != 1 << n:
+            raise ValueError(f"length {size} is not a power of two >= 2")
+        return cls(n, amplitudes)
 
     def amplitude(self, bits) -> complex:
         """Amplitude of the basis state given as a bit string or sequence."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qubitloss import (
+    Bipartition,
     StateVector,
     VerdictKind,
     all_factorizations,
@@ -18,6 +19,7 @@ from qubitloss import (
     detect_base,
     entanglement_measure,
     example3_4q,
+    family_proportional,
     ghz,
     numerical_rank,
     oracle_genuine,
@@ -28,6 +30,7 @@ from qubitloss import (
     w_state,
     wclass_3q,
 )
+from qubitloss.base import CANDIDATE_SPLITS
 from helpers import random_bipartition_blocks, random_dense, random_product
 
 # Hand-enumerated index groupings for every candidate split, to pin the
@@ -181,6 +184,38 @@ class TestAgainstOracle:
             assert v1.genuinely_entangled == v2.genuinely_entangled
             if v1.witness is not None:
                 assert v1.witness.partition == v2.witness.partition
+
+
+class TestZeroState:
+    """The zero vector is 0 (x) psi across every cut, so the leaf's own rule
+    finds every candidate split proportional, with an all-zero family."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_candidate_split_factors(self, n):
+        found = all_factorizations(StateVector(n, np.zeros(1 << n)))
+        assert [w.partition.block_a for w in found] == list(CANDIDATE_SPLITS[n])
+        for w in found:
+            assert not any(any(row) for row in w.family)
+            assert family_proportional(w.family)
+
+    @pytest.mark.parametrize("n, detect_n", [(2, detect_2q), (3, detect_3q), (4, detect_4q)])
+    def test_not_genuine_with_the_first_split(self, n, detect_n):
+        zero = StateVector(n, np.zeros(1 << n))
+        first = all_factorizations(zero)[0]
+        for verdict in (detect_base(zero), detect_n(zero)):
+            assert not verdict.genuinely_entangled
+            assert verdict.witness == first
+
+    def test_sufficient_3q_certifies_nothing(self):
+        check = sufficient_3q(StateVector(3, np.zeros(8)))
+        assert check.table == ("zero", "zero", "zero")
+        assert not check.certified
+        assert check.verdict.kind is VerdictKind.NOT_GENUINE
+        assert check.verdict.witness.partition == Bipartition((1,), (2, 3))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (0, 0), (0, 3), (3, 0)])
+    def test_rank_of_a_zero_or_empty_matrix(self, shape):
+        assert numerical_rank(np.zeros(shape)) == 0
 
 
 class TestSufficientThreeQubit:

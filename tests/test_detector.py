@@ -26,6 +26,7 @@ from qubitloss import (
     entanglement_measure,
     equal_up_to_scale,
     example3_4q,
+    format_certificate,
     family_proportional,
     find_product_cut,
     ghz,
@@ -41,7 +42,7 @@ from qubitloss import (
     wclass_3q,
 )
 from qubitloss.cli import main
-from qubitloss.detect import _preorder
+from qubitloss.detect import _certificate_json, _preorder
 from qubitloss.oracle import numerical_rank
 from qubitloss.states import ProjectionOverflow, largest_modulus, lose_qubit_set
 from helpers import (
@@ -339,6 +340,23 @@ class TestCertificates:
             for lost, child in zip(node.lost, node.children):
                 assert set(child.qubits) == set(node.qubits) - {lost}
                 stack.append(child)
+
+    def test_json_children_point_back_to_shared_nodes(self):
+        # Shared nodes are written once, so a child's index can be below its
+        # parent's; a child always has one qubit fewer, which rules out cycles.
+        nodes = _certificate_json(detect(ghz(7)).certificate)["nodes"]
+        edges = [(i, c) for i, node in enumerate(nodes) for c in node["children"]]
+        assert any(c < i for i, c in edges)
+        for i, c in edges:
+            parent, child = set(nodes[i]["qubits"]), set(nodes[c]["qubits"])
+            assert child < parent and len(parent - child) == 1
+
+    def test_an_inconclusive_verdict_has_nothing_to_read(self):
+        state = product_state([((1, 2), ghz(2)), ((3, 4, 5), ghz(3))])
+        verdict = detect(state)
+        assert verdict.kind is VerdictKind.INCONCLUSIVE and verdict.certificate is None
+        assert replay_certificate(state, verdict.certificate) is False
+        assert format_certificate(verdict.certificate) == ""
 
 
 def _forge(labels, spec):

@@ -158,6 +158,35 @@ ARRAY_TABLE = [
     for kind in ("bool", "text", "nan", "past-float")
 ]
 
+# A bool among numbers, which NumPy casts to 1.0 before a dtype shows it:
+# (name, parameter, call, what the message calls the entries).  Read as
+# given, the entries are objects.
+HIDDEN_BOOLS = [
+    ("StateVector", "amplitudes", lambda: StateVector(1, [True, 0.5]), "amplitudes"),
+    ("StateVector", "nested-amplitudes",
+     lambda: StateVector(2, [[1.0, False], [0.0, 1.0]]), "amplitudes"),
+    ("StateVector.from_amplitudes", "amplitudes",
+     lambda: StateVector.from_amplitudes([True, 0.5]), "amplitudes"),
+    ("max_cross_minor", "u", lambda: max_cross_minor([True, 0.5], [1.0, 0.5]), "vector entries"),
+    ("max_cross_minor", "v", lambda: max_cross_minor([1.0, 0.5], [True, 0.5]), "vector entries"),
+    ("pair_proportional", "u", lambda: pair_proportional([True, 0.5], [1.0, 0.5]),
+     "vector entries"),
+    ("pair_proportional", "v", lambda: pair_proportional([1.0, 0.5], [True, 0.5]),
+     "vector entries"),
+    ("family_proportional", "vectors",
+     lambda: family_proportional([[True, 0.5], [1.0, 0.5]]), "vector entries"),
+    ("numerical_rank", "matrix", lambda: numerical_rank([[True, 0.0], [0.0, 1.0]]),
+     "matrix entries"),
+    ("ppt_2qubit", "rho", lambda: ppt_2qubit([[True, 0, 0, 0]] + [[0.0] * 4] * 3),
+     "density matrix entries"),
+]
+
+ARRAY_TABLE += [
+    pytest.param(name, call, f"{what} must be ints, floats or complex numbers, got dtype object",
+                 id=f"{name}-{parameter}-hidden-bool")
+    for name, parameter, call, what in HIDDEN_BOOLS
+]
+
 
 @pytest.mark.parametrize("reader, call, message", ARRAY_TABLE)
 def test_a_bad_array_is_rejected(reader, call, message):

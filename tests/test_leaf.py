@@ -42,8 +42,6 @@ TOLERANCES = (1e-9, 0.0)
 def reference_factorizations(state, tol):
     n = state.num_qubits
     amps = state.amplitudes
-    if not amps.any():
-        return []
     found = []
     for block in CANDIDATE_SPLITS[n]:
         vectors = [amps[g] for g in coefficient_groups(n, block)]
