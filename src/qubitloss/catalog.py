@@ -16,17 +16,6 @@ import numpy as np
 
 from .states import StateVector, as_int, check_qubit_count, int_text
 
-CATALOG_KEYS = (
-    "GHZ",
-    "W",
-    "DICKE(k)",
-    "PHI4",
-    "EXAMPLE3_4Q",
-    "WCLASS_3Q",
-    "CLUSTER4",
-)
-
-
 def ghz(num_qubits: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if check_qubit_count(num_qubits) < 2:
@@ -91,38 +80,36 @@ def cluster4() -> StateVector:
     return StateVector(4, amps)
 
 
-_FIXED_BUILDERS = {
-    "PHI4": phi4,
-    "EXAMPLE3_4Q": example3_4q,
-    "WCLASS_3Q": wclass_3q,
-    "CLUSTER4": cluster4,
-}
+# Each catalog key is declared once, here.  A family takes a qubit count
+# (DICKE(k) takes its k too, written in the key); a fixed entry takes none.
+_FAMILIES = {"GHZ": ghz, "W": w_state, "DICKE(k)": dicke}
+_FIXED = {"PHI4": phi4, "EXAMPLE3_4Q": example3_4q, "WCLASS_3Q": wclass_3q, "CLUSTER4": cluster4}
+CATALOG_KEYS = (*_FAMILIES, *_FIXED)
 
 
 def named_state(name: str, num_qubits: int | None = None) -> StateVector:
-    """Look up a catalog state by key.
+    """Look up a catalog state by one of ``CATALOG_KEYS``, in any case.
 
-    Keys: GHZ, W, DICKE(k), PHI4, EXAMPLE3_4Q, WCLASS_3Q, CLUSTER4.
-    GHZ/W/DICKE need ``num_qubits``; the fixed four-qubit (three-qubit)
-    entries reject any inconsistent ``num_qubits``.
+    A family needs ``num_qubits`` (``DICKE(k)`` is asked for with its k in
+    ASCII digits, as ``DICKE(2)``); a fixed entry refuses a ``num_qubits``
+    other than its own size.
     """
     key = name.strip().upper()
     if num_qubits is not None:
         num_qubits = check_qubit_count(num_qubits)
-    if key in _FIXED_BUILDERS:
-        state = _FIXED_BUILDERS[key]()
+    if key in _FIXED:
+        state = _FIXED[key]()
         if num_qubits is not None and num_qubits != state.num_qubits:
             raise ValueError(f"{key} is a {state.num_qubits}-qubit state, got n={num_qubits}")
         return state
-    if key == "GHZ" or key == "W":
-        if num_qubits is None:
-            raise ValueError(f"{key} needs an explicit qubit count")
-        return ghz(num_qubits) if key == "GHZ" else w_state(num_qubits)
-    m = re.fullmatch(r"DICKE\(([0-9]+)\)", key)
-    if m:
-        if num_qubits is None:
-            raise ValueError("DICKE(k) needs an explicit qubit count")
-        return dicke(num_qubits, int_text(m.group(1)))
-    raise ValueError(
-        f"unknown catalog state {name!r}; known: {', '.join(CATALOG_KEYS)}"
-    )
+    # The upper-cased literal "DICKE(K)" matches no family, so it is unknown.
+    dicke_k = re.fullmatch(r"DICKE\(([0-9]+)\)", key)
+    family = "DICKE(k)" if dicke_k else key
+    if family not in _FAMILIES:
+        raise ValueError(
+            f"unknown catalog state {name!r}; known: {', '.join(CATALOG_KEYS)}"
+        )
+    if num_qubits is None:
+        raise ValueError(f"{family} needs an explicit qubit count")
+    params = map(int_text, dicke_k.groups()) if dicke_k else ()
+    return _FAMILIES[family](num_qubits, *params)

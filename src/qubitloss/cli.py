@@ -84,7 +84,7 @@ def _tolerance(text: str) -> float:
     try:  # float() would read "١" as 1.0, "1_0" as 10.0 and " 1e-3" as 1e-3
         if not text.isascii() or "_" in text or text != text.strip():
             raise ValueError(f"a tolerance must be ASCII with no underscore or space, got {text!r}")
-        return check_tolerance(float(text))
+        return check_tolerance(float(text)) + 0.0  # -0 reads as 0.0, so reports agree
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -116,10 +116,14 @@ def unit_scale(largest: float) -> float:
 
 def _numbers(values, what: str) -> Tuple[np.ndarray, float]:
     """``values``, named ``what`` in errors, as a new complex array of their
-    shape, and its largest real or imaginary part.  No bools or text, which
-    NumPy's cast would read; the bound is taken in the one pass that checks
-    finiteness, as a NaN or an infinity fails its comparison."""
-    a = given = np.asarray(values)  # an object array: ints past int64, or mixed types
+    shape, and its largest real or imaginary part.  No ragged nesting, which
+    has no shape, and no bools or text, which NumPy's cast would read; the
+    bound is taken in the one pass that checks finiteness, as a NaN or an
+    infinity fails its comparison."""
+    try:
+        a = given = np.asarray(values)  # an object array: ints past int64, or mixed types
+    except ValueError:  # NumPy finds no shape for a ragged nesting
+        raise ValueError(f"{what} must form a rectangular array") from None
     if a.dtype.kind in "iufc" and not isinstance(values, np.ndarray):
         given = np.array(values, dtype=object)  # NumPy casts a bool among numbers
     if given.dtype.kind not in "iufc" and not (given.dtype.kind == "O" and all(
@@ -173,11 +177,13 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build a state from a length-2^n vector, inferring n."""
-        size = np.size(amplitudes)  # ``__init__`` reads the entries as given
-        n = size.bit_length() - 1
-        if size < 2 or size != 1 << n:
-            raise ValueError(f"length {size} is not a power of two >= 2")
-        return cls(n, amplitudes)
+        amps, bound = _numbers(amplitudes, "amplitudes")
+        n = amps.size.bit_length() - 1
+        if amps.size < 2 or amps.size != 1 << n:
+            raise ValueError(f"length {amps.size} is not a power of two >= 2")
+        self = object.__new__(cls)
+        _fill(self, check_qubit_count(n), amps.reshape(-1), bound, None)
+        return self
 
     def amplitude(self, bits) -> complex:
         """Amplitude of the basis state given as a bit string or sequence."""

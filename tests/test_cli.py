@@ -19,6 +19,7 @@ import qubitloss.catalog
 import qubitloss.cli
 import qubitloss.stateio
 from qubitloss import (
+    CATALOG_KEYS,
     MAX_QUBITS,
     StateVector,
     __version__,
@@ -228,6 +229,14 @@ class TestInputGuards:
                            "--tol", "0", "--json")
         assert code == 0
         assert json.loads(out)["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-.0"])
+    def test_negative_zero_tolerance_reports_as_zero(self, capsys, zero):
+        # -0 is the same tolerance as 0 and must give the same report bytes.
+        reports = [run(capsys, "detect", "--catalog", "GHZ", "--n", "3", "--tol", tol, "--json")
+                   for tol in ("0", zero)]
+        assert reports[0] == reports[1]
+        assert '"tolerance": 0.0' in reports[1][1]
 
     def test_qubit_limit_on_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(qubitloss.stateio, "np", _NoAllocation())
@@ -674,6 +683,15 @@ def _command_flags(command):
             for flag in (entry if isinstance(entry, tuple) else (entry,))]
 
 
+def test_readme_catalog_row_names_each_catalog_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    row = re.search(r"^\| `qubitloss\.catalog` \|(.*)\|$", readme, re.M).group(1)
+    # A quoted name the module defines (CATALOG_KEYS itself) is not a key.
+    keys = [name for name in re.findall(r"`([A-Z][\w()]*)`", row)
+            if not hasattr(qubitloss.catalog, name)]
+    assert keys == list(CATALOG_KEYS)
+
+
 def test_readme_flag_table_names_each_commands_flags():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.M))
@@ -686,9 +704,10 @@ def test_readme_flag_table_names_each_commands_flags():
 # order, each with a value that fits it or one from a pool of odd text.  No
 # count reaches past 8 qubits and selftest always ends on --trials of at
 # most 3, so no draw runs long.  Commands and flags are read from the CLI's
-# own table, so a new flag cannot go unfuzzed.
+# own table, and catalog keys from CATALOG_KEYS, so a new flag or catalog
+# state cannot go unfuzzed.
 _ARGV_VALUES = {
-    "--catalog": ("GHZ", "W", "DICKE(2)", "DICKE(٢)", "PHI4", "WCLASS_3Q", "NOPE"),
+    "--catalog": (*(key.replace("(k)", "(2)") for key in CATALOG_KEYS), "DICKE(٢)", "NOPE"),
     "--n": ("1", "2", "3", "5", "8"),
     "--tol": ("0", "1e-9", "0.5"),
     "--lose": ("1", "3", "1,2", "2,,3", "9"),

@@ -188,6 +188,31 @@ ARRAY_TABLE += [
 ]
 
 
+# A ragged nesting, for which NumPy finds no shape: (name, parameter, call,
+# what the message calls the entries).
+RAGGED = [[1.0, 2.0], [3.0]]
+RAGGED_ARRAYS = [
+    ("StateVector", "amplitudes", lambda: StateVector(1, RAGGED), "amplitudes"),
+    ("StateVector.from_amplitudes", "amplitudes",
+     lambda: StateVector.from_amplitudes(RAGGED), "amplitudes"),
+    ("max_cross_minor", "u", lambda: max_cross_minor(RAGGED, GOOD), "vector entries"),
+    ("max_cross_minor", "v", lambda: max_cross_minor(GOOD, RAGGED), "vector entries"),
+    ("pair_proportional", "u", lambda: pair_proportional(RAGGED, GOOD), "vector entries"),
+    ("pair_proportional", "v", lambda: pair_proportional(GOOD, RAGGED), "vector entries"),
+    ("family_proportional", "vectors", lambda: family_proportional([GOOD, RAGGED]),
+     "vector entries"),
+    ("numerical_rank", "matrix", lambda: numerical_rank(RAGGED), "matrix entries"),
+    ("ppt_2qubit", "rho", lambda: ppt_2qubit([[0.0] * 4] * 3 + [[0.0] * 3]),
+     "density matrix entries"),
+]
+
+ARRAY_TABLE += [
+    pytest.param(name, call, f"{what} must form a rectangular array",
+                 id=f"{name}-{parameter}-ragged")
+    for name, parameter, call, what in RAGGED_ARRAYS
+]
+
+
 @pytest.mark.parametrize("reader, call, message", ARRAY_TABLE)
 def test_a_bad_array_is_rejected(reader, call, message):
     with pytest.raises(ValueError) as exc:

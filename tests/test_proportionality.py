@@ -118,6 +118,11 @@ finite_complex = st.complex_numbers(
 nonzero_complex = st.sampled_from(
     [u * p for u in (1, -1, 1j, -1j, 0.6 + 0.8j, 3 - 2j) for p in (2.0**-9, 1.0, 2.0**10)]
 )
+# Parts that are 0 or at least 1e-290 in magnitude stay normal floats when
+# scaled by any scalar above.  A subnormal part can underflow to 0 (5e-324
+# times 2**-9 does), and then the "scaled" family is not a rescaling at all.
+normal_part = st.just(0.0) | st.floats(1e-290, 1e6) | st.floats(-1e6, -1e-290)
+scalable_complex = st.builds(complex, normal_part, normal_part)
 
 
 @pytest.mark.parametrize("d", [300, 512])
@@ -145,21 +150,30 @@ def test_equal_up_to_scale_memory_stays_flat_at_11_qubits():
 
 
 @st.composite
-def vector_families(draw):
+def vector_families(draw, entries=finite_complex):
     d = draw(st.integers(min_value=1, max_value=5))
     m = draw(st.integers(min_value=2, max_value=4))
     return [
-        [draw(finite_complex) for _ in range(d)] for _ in range(m)
+        [draw(entries) for _ in range(d)] for _ in range(m)
     ]
 
 
 @settings(max_examples=150, deadline=None)
-@given(family=vector_families(), scalar=nonzero_complex, index=st.integers(0, 3))
+@given(family=vector_families(scalable_complex), scalar=nonzero_complex,
+       index=st.integers(0, 3))
 def test_scale_invariance(family, scalar, index):
     scaled = [list(v) for v in family]
     pos = index % len(scaled)
     scaled[pos] = [scalar * x for x in scaled[pos]]
     assert family_proportional(family) == family_proportional(scaled)
+
+
+def test_a_subnormal_part_is_not_zero():
+    # 5e-324 is not 0, so this family is not proportional.  Scaled by 2**-9
+    # that part underflows to 0 and the family it gives is, which is why
+    # test_scale_invariance draws no subnormal part.
+    assert not family_proportional([[1, 0], [0, 5e-324]])
+    assert family_proportional([[1, 0], [0, 0]])
 
 
 @settings(max_examples=150, deadline=None)
