@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 
@@ -73,8 +74,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; 2 means 'inconclusive' here.
 
     A usage error is one stderr line, without argparse's usage block
-    (``--help`` still prints the usage).
+    (``--help`` still prints the usage).  A word that starts like a
+    negative number is a value, not an option: argparse's own rule knows
+    only ``-1`` and ``-1.5``, so ``--tol -1e-3`` would never reach the
+    tolerance rule.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")

@@ -22,13 +22,21 @@ serves ``detect``, ``entanglement_measure``, ``detect_with_trace`` and
 labels, which is sound because projections for different qubits commute.
 The walker does no amplitude arithmetic: ``states.lose_qubit`` projects,
 and ``base`` decides every product test, the leaf and the cut alike.
+
+A state whose every node certifies with its first two children gets the
+canonical certificate (``_canonical``): each inner node loses its first
+two labels, so its n - 3 leaves are known before any is decided.
+``detect`` and ``replay_certificate`` form those leaves along the walk's
+own projections (``_descent``, ``_canonical_leaves``) and decide them in
+one call of the leaf kernel; anything else takes the walk.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .base import (
     CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
@@ -79,6 +87,9 @@ _Cut = Tuple[int, ...]
 # its verdict and a product cut of its state, if one is known.
 _Entry = Tuple[Verdict, Optional[_Cut]]
 _Cache = Dict[Tuple[int, ...], _Entry]
+
+# States with the labels of their qubits, as ``detect``'s first descent forms them.
+_Chain = List[Tuple[StateVector, Tuple[int, ...]]]
 
 _ROW_ENTRY = {
     VerdictKind.GENUINE: "entangled",
@@ -236,15 +247,91 @@ def _check_input(state: StateVector, min_qubits: int, what: str, tol: float) -> 
     check_tolerance(tol)
 
 
+@lru_cache(maxsize=None)
+def _canonical(num_qubits: int) -> Certificate:
+    """The certificate ``_walk`` gives a state on ``num_qubits`` > 4 qubits
+    whose every node certifies with its first two children: each inner node
+    loses its first two labels, and the nodes on one subset are one object,
+    shared by every verdict that cites it."""
+    nodes: Dict[Tuple[int, ...], Certificate] = {}
+
+    def node(labels: Tuple[int, ...]) -> Certificate:
+        if labels not in nodes:
+            nodes[labels] = Certificate(labels, "exact") if len(labels) <= _EXACT_MAX else (
+                Certificate(labels, "two-projections", labels[:2],
+                            (node(labels[1:]), node(labels[:1] + labels[2:]))))
+        return nodes[labels]
+
+    return node(tuple(range(1, num_qubits + 1)))
+
+
+def _descent(state: StateVector, labels: Tuple[int, ...]) -> _Chain:
+    """The walk's first descent as (state, labels) pairs: ``state`` on
+    ``labels``, then each state with its first label lost, down to four
+    qubits, stopping before a projection that vanishes."""
+    chain = [(state, labels)]
+    while len(labels) > _EXACT_MAX:
+        state = _project(state, labels, 1)
+        if state is None:
+            break
+        labels = labels[1:]
+        chain.append((state, labels))
+    return chain
+
+
+def _canonical_leaves(chain: _Chain) -> Optional[List[StateVector]]:
+    """The leaves of ``_canonical`` below the states of a ``_descent``,
+    emptying ``chain``: each state with its second label lost until four
+    qubits remain.  They are formed in the walk's order, last state first,
+    by the walk's projections, and each state is dropped once its leaf is
+    formed; None if a projection vanishes."""
+    leaves = []
+    while chain:
+        current, labels = chain.pop()
+        while len(labels) > _EXACT_MAX:
+            current = _project(current, labels, 2)
+            if current is None:
+                return None
+            labels = labels[:1] + labels[2:]
+        leaves.append(current)
+    return leaves
+
+
 def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide genuine entanglement of a pure nonzero state.
 
     Exact for 2..4 qubits (verdict genuine or not-genuine with a
     factorization witness).  For five or more, genuine verdicts carry a
     certificate and the only other outcome is inconclusive.
+
+    The walk's first descent runs as a loop, and ``_walk`` then takes the
+    descent's states bottom-up, each finding its first child cached.  When
+    the 5-qubit state certifies by its first two children, the rest of the
+    canonical leaves are decided in one batch instead, and if none is a
+    product the verdict cites the shared ``_canonical`` certificate; if one
+    is, or a projection on the way vanishes or overflows, ``_walk`` decides
+    the state with the same cache.
     """
     _check_input(state, 2, "detection", tol)
-    return _walk(state, tuple(range(1, state.num_qubits + 1)), tol, {})
+    root = tuple(range(1, state.num_qubits + 1))
+    cache: _Cache = {}
+    chain = _descent(state, root)
+    last = chain[-1][1]
+    if len(last) > _EXACT_MAX:  # the descent's next projection vanished
+        cache[last[1:]] = _VANISHED, None
+    while chain:
+        current, labels = chain.pop()
+        verdict = _walk(current, labels, tol, cache)
+        cert = verdict.certificate
+        if len(labels) == _EXACT_MAX + 1 and cert is not None and cert.lost == labels[:2]:
+            try:
+                leaves = _canonical_leaves(chain)
+            except ProjectionOverflow:
+                leaves = None
+            if leaves is not None and _all_genuine([leaves], tol):
+                return Verdict(VerdictKind.GENUINE, certificate=_canonical(state.num_qubits))
+            return _walk(state, root, tol, cache)
+    return verdict
 
 
 def entanglement_measure(state: StateVector, tol: float = DEFAULT_TOL) -> SweepReport:
@@ -288,10 +375,11 @@ def _preorder(certificate: Certificate) -> Iterator[Tuple[Certificate, int, bool
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _all_genuine(leaves: Dict[int, List[StateVector]], tol: float) -> bool:
+def _all_genuine(groups: Iterable[List[StateVector]], tol: float) -> bool:
     """Whether the exact test finds no proportional split in any of the
-    states, listed by qubit count, with one call of it per count."""
-    return not any(_proportional_masks(group, tol).any() for group in leaves.values())
+    states, in groups of one qubit count each, with one call of it per
+    group that is not empty."""
+    return not any(_proportional_masks(group, tol).any() for group in groups if group)
 
 
 def replay_certificate(
@@ -304,12 +392,23 @@ def replay_certificate(
     are collected on the way and then decided by the exact test, one call
     for all the leaves of each size.  True iff every step checks out, so
     False for the None of an inconclusive verdict.  An inner node's
-    projected state is dropped when the node is entered.
+    projected state is dropped when the node is entered.  The shared
+    ``_canonical`` certificate, known by identity, has its leaves formed
+    as ``detect`` forms them; if a projection on the way vanishes or
+    overflows, the node-by-node check below decides.
     """
     check_tolerance(tol)
     root = tuple(range(1, state.num_qubits + 1))
     if certificate is None or certificate.qubits != root:
         return False
+    if len(root) > _EXACT_MAX and certificate is _canonical(len(root)):
+        try:
+            chain = _descent(state, root)
+            batch = _canonical_leaves(chain) if len(chain[-1][1]) == _EXACT_MAX else None
+        except ProjectionOverflow:
+            batch = None
+        if batch is not None:
+            return _all_genuine([batch], tol)
     states, entered = {root: state}, set()
     leaves: Dict[int, List[StateVector]] = {}
     try:
@@ -340,10 +439,10 @@ def replay_certificate(
                     states[child.qubits] = proj
     except ProjectionOverflow:
         # A leaf met before the overflow that fails the test decides first.
-        if _all_genuine(leaves, tol):
+        if _all_genuine(leaves.values(), tol):
             raise
         return False
-    return _all_genuine(leaves, tol)
+    return _all_genuine(leaves.values(), tol)
 
 
 def format_certificate(certificate: Optional[Certificate], indent: int = 0) -> str:

@@ -230,7 +230,15 @@ class TestInputGuards:
         assert code == 0
         assert json.loads(out)["tolerance"] == 0.0
 
-    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-.0"])
+    @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("-1e-3", "-0.001"), ("-.5e1", "-5.0")])
+    def test_negative_tolerance_reaches_the_tolerance_rule(self, capsys, tol, shown):
+        # argparse reads a word like -1e-3 as an option unless told otherwise.
+        code, out, err = run(capsys, "detect", "--catalog", "GHZ", "--n", "3", "--tol", tol)
+        assert (code, out) == (3, "")
+        assert err == ("qubitloss detect: error: argument --tol: tolerance must be finite "
+                       f"and nonnegative, got {shown}\n")
+
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-.0", "-0e3"])
     def test_negative_zero_tolerance_reports_as_zero(self, capsys, zero):
         # -0 is the same tolerance as 0 and must give the same report bytes.
         reports = [run(capsys, "detect", "--catalog", "GHZ", "--n", "3", "--tol", tol, "--json")

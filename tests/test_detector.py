@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import tracemalloc
@@ -42,7 +43,7 @@ from qubitloss import (
     wclass_3q,
 )
 from qubitloss.cli import main
-from qubitloss.detect import _certificate_json, _preorder
+from qubitloss.detect import _certificate_json, _preorder, _walk
 from qubitloss.oracle import numerical_rank
 from qubitloss.states import ProjectionOverflow, largest_modulus, lose_qubit_set
 from helpers import (
@@ -445,6 +446,225 @@ class TestBatchedReplay:
         for leaf in ((2, 3, 4, 5), (1, 3, 4, 5)):
             leaf_state = lose_qubit_set(StateVector(5, five), set(range(1, 6)) - set(leaf))
             assert detect_base(leaf_state).genuinely_entangled
+
+
+def _walked(state, tol=1e-9):
+    """``_walk``'s verdict on the whole state, with no canonical pass."""
+    return _walk(state, tuple(range(1, state.num_qubits + 1)), tol, {})
+
+
+def _rebuilt(cert, nodes=None):
+    """An equal copy of ``cert``, made node by node and shared as it shares."""
+    nodes = {} if nodes is None else nodes
+    if cert.qubits not in nodes:
+        nodes[cert.qubits] = replace(cert, children=tuple(_rebuilt(c, nodes) for c in cert.children))
+    return nodes[cert.qubits]
+
+
+def _lone_first(rng, n):
+    """A lone qubit 1 times a dense rest: every leaf of the batch keeps qubit 1."""
+    return product_state([((1,), random_state(rng, 1)), (range(2, n + 1), random_state(rng, n - 1))])
+
+
+def _minus_on(q, rng, n):
+    """|-> on qubit ``q`` times a dense rest: every loss of ``q`` vanishes."""
+    rest = tuple(k for k in range(1, n + 1) if k != q)
+    return product_state([((q,), StateVector(1, [1, -1])), (rest, random_state(rng, n - 1))])
+
+
+def _tail_block(rng, n):
+    """A product whose second block holds labels n-4..n and qubit 2 too:
+    the 5-qubit state certifies, each leaf of the batch is a product."""
+    tail = sorted({2, *range(n - 4, n + 1)})
+    return random_product(rng, [[k for k in range(1, n + 1) if k not in tail], tail])
+
+
+def _pair_sums_to_noise(rng, n):
+    """A dense state whose sum over qubits n-4 and n-3 is 1e-14 noise.  A
+    branch of the batch loses both and vanishes; the 5-qubit state's leaves
+    lose one each and are |-> on the other up to that noise, which only
+    tol 0 calls genuine, as it must for the 5-qubit state to certify."""
+    shape = (1 << (n - 5), 2, 2, 8)
+    amps = _complex_gaussian(rng, shape)
+    amps[:, 1, 1] = -(amps[:, 0, 0] + amps[:, 0, 1] + amps[:, 1, 0])
+    return StateVector(n, amps.reshape(-1) + 1e-14 * _complex_gaussian(rng, 1 << n))
+
+
+def _overflow_in_batch(rng, n):
+    """Amplitudes near 1.2e308 on the basis states that are |0> on every
+    qubit but n-4 and n-3, in the pattern [[0.9, 0.1], [0.1, 0.9]] on those
+    two, plus noise: a sum over one of them stays finite and a sum over both
+    overflows, so only the batch's leaves overflow."""
+    pattern = np.zeros((1 << (n - 5), 2, 2, 8), dtype=complex)
+    pattern[0, :, :, 0] = [[0.9, 0.1], [0.1, 0.9]]
+    noise = 1e-4 * _complex_gaussian(rng, pattern.shape)
+    return StateVector(n, 1.2e308 * (pattern + noise).reshape(-1))
+
+
+def _outcome(call):
+    """``call()``'s value, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def batch(monkeypatch):
+    """What each canonical batch of ``detect`` formed: "leaves" (then
+    decided), "vanished" or "overflow"."""
+    module = sys.modules["qubitloss.detect"]
+    original, seen = module._canonical_leaves, []
+
+    def spied(*args):
+        try:
+            leaves = original(*args)
+        except ProjectionOverflow:
+            seen.append("overflow")
+            raise
+        seen.append("vanished" if leaves is None else "leaves")
+        return leaves
+
+    monkeypatch.setattr(module, "_canonical_leaves", spied)
+    return seen
+
+
+# Each fallback's state builder, tolerance and what the batch formed (None:
+# the descent vanished, so no batch started).
+_FALLBACKS = {
+    "lone-qubit": (_lone_first, 1e-9, "leaves"),
+    "minus-on-qubit-2": (lambda rng, n: _minus_on(2, rng, n), 1e-9, None),
+    "tail-block": (_tail_block, 1e-9, "leaves"),
+    "pair-sums-to-noise": (_pair_sums_to_noise, 0.0, "vanished"),
+}
+
+
+class TestCanonicalPass:
+    """``detect`` decides the canonical certificate's leaves in one batch
+    after its first descent; its verdicts, certificates and errors are the
+    walk's, and every fallback's verdict is the reference recursion's."""
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_dense_and_catalog_states_match_the_walk(self, n):
+        states = (random_state(np.random.default_rng(n), n), ghz(n), w_state(n), dicke(n, 2))
+        for s in states:
+            verdict, walked = detect(s), _walked(s)
+            assert verdict == walked
+            assert json.dumps(_certificate_json(verdict.certificate)) == json.dumps(
+                _certificate_json(walked.certificate))
+
+    def test_dense_states_share_one_certificate(self, rng):
+        for n in (5, 8, 12):
+            first, second = (detect(random_state(rng, n)).certificate for _ in range(2))
+            assert first is second and first.qubits == tuple(range(1, n + 1))
+
+    # The reference recursion takes seconds on these products at n = 10.
+    @pytest.mark.parametrize("n", range(6, 10))
+    @pytest.mark.parametrize("case", _FALLBACKS, ids=list(_FALLBACKS))
+    def test_each_fallback_gives_the_reference_verdict(self, batch, case, n):
+        build, tol, formed = _FALLBACKS[case]
+        s = build(np.random.default_rng(n), n)
+        verdict, expected = detect(s, tol), reference_detect(s, tol=tol)
+        assert batch == ([formed] if formed else [])
+        assert (verdict.kind, verdict.witness) == (expected.kind, expected.witness)
+        assert verdict == _walked(s, tol)
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_without_a_batch_detect_projects_as_the_walk_does(self, monkeypatch, batch, n):
+        # The bottom-up walk finds each descent state's first child cached,
+        # a vanished one included, so it repeats no projection.
+        module, rng = sys.modules["qubitloss.detect"], np.random.default_rng(n)
+        original, calls = module.lose_qubit, []
+
+        def counted(state, pos):
+            calls.append((state.num_qubits, pos))
+            return original(state, pos)
+
+        monkeypatch.setattr(module, "lose_qubit", counted)
+        states = [_minus_on(q, rng, n) for q in range(1, n + 1)]
+        states += [random_product(rng, random_partition_blocks(rng, n)) for _ in range(4)]
+        for s in states:
+            detect(s)
+            detected = calls[:]
+            calls.clear()
+            _walked(s)
+            assert detected == calls
+            calls.clear()
+        assert batch == []
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_an_overflow_raises_the_walks_message(self, batch, n):
+        for s in (_overflow_in_batch(np.random.default_rng(n), n),
+                  with_overflowing_moduli(random_state(np.random.default_rng(n), n))):
+            with pytest.raises(ProjectionOverflow) as walked:
+                _walked(s)
+            with pytest.raises(ProjectionOverflow) as detected:
+                detect(s)
+            assert str(detected.value) == str(walked.value)
+        assert batch == ["overflow"]
+
+    def test_detect_peak_memory_stays_near_one_state(self):
+        # The descent holds states of 2^(n-1), 2^(n-2), ... amplitudes, and
+        # each is dropped once its leaf is formed.
+        s = random_state(np.random.default_rng(16), 16)
+        assert detect(s).kind is VerdictKind.GENUINE  # builds the tables first
+        tracemalloc.start()
+        try:
+            assert detect(s).kind is VerdictKind.GENUINE
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * s.amplitudes.nbytes
+
+
+class TestCanonicalReplay:
+    """Replay knows the shared canonical certificate by identity and forms
+    its leaves as ``detect`` does; on dense and failing states alike it
+    answers (or raises) as the node-by-node check of an equal copy does."""
+
+    @pytest.fixture
+    def preorders(self, monkeypatch):
+        module = sys.modules["qubitloss.detect"]
+        original, calls = module._preorder, []
+
+        def counted(cert):
+            calls.append(cert.qubits)
+            return original(cert)
+
+        monkeypatch.setattr(module, "_preorder", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_dense_states_take_the_batch(self, preorders, n):
+        rng = np.random.default_rng(n)
+        cert = detect(random_state(rng, n)).certificate
+        copy = _rebuilt(cert)
+        assert copy == cert and copy is not cert
+        for s in (random_state(rng, n), ghz(n)):
+            for tol in (1e-9, 0.0):
+                assert replay_certificate(s, cert, tol) is True
+                assert preorders == []
+                assert replay_certificate(s, copy, tol) is True
+                preorders.clear()
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_failing_states_agree_with_the_general_path(self, n):
+        rng = np.random.default_rng(n)
+        cert = detect(random_state(rng, n)).certificate
+        copy = _rebuilt(cert)
+        failing = [build(rng, n) for build, _, _ in _FALLBACKS.values()] + [
+            _minus_on(q, rng, n) for q in range(1, n + 1)
+        ] + [
+            _overflow_in_batch(rng, n),
+            with_overflowing_moduli(random_state(rng, n)),
+            random_product(rng, random_partition_blocks(rng, n)),
+        ]
+        for s in failing:
+            for tol in (1e-9, 0.0, 1e-3):
+                expected = _outcome(lambda: replay_certificate(s, copy, tol))
+                assert _outcome(lambda: replay_certificate(s, cert, tol)) == expected
+                # At tol 0 rounded products can pass (ROADMAP item 1).
+                assert expected is not True or tol == 0.0
 
 
 class TestMeasure:
