@@ -133,12 +133,13 @@ def _leaf_tables(num_qubits: int) -> _LeafTables:
 _partition = lru_cache(maxsize=None)(Bipartition.from_block)
 
 
-def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray:
-    """For each state of a stack with one qubit count, and each candidate
-    split, whether the split's family is proportional (rows of the result
-    in stack order, columns in reporting order).
+def _proportional_masks(stack: np.ndarray, largest: Sequence[float], tol: float) -> np.ndarray:
+    """For each row of ``stack``, the amplitudes of a state on 2, 3 or 4
+    qubits, all on one count, and each candidate split, whether the split's
+    family is proportional (rows of the result in stack order, columns in
+    reporting order).  ``largest`` holds each row's largest modulus.
 
-    Each state is scaled by ``unit_scale`` of its largest modulus, which is
+    Each row is scaled by ``unit_scale`` of its largest modulus, which is
     exact, so the products below neither overflow nor underflow.  The
     pivot of a split is its group with the largest modulus (the first on
     ties), nonzero for a nonzero state because the groups cover every
@@ -146,9 +147,8 @@ def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray
     the pivot must be at most ``tol * (pivot max * v max)``.  A zero
     state passes every split.
     """
-    t = _leaf_tables(states[0].num_qubits)
-    x = np.array([state.amplitudes for state in states])
-    x *= np.array([unit_scale(state._largest()) for state in states])[:, None]
+    t = _leaf_tables(stack.shape[1].bit_length() - 1)
+    x = stack * np.array([unit_scale(m) for m in largest])[:, None]
     group_max = np.maximum.reduceat(np.abs(x).take(t.members, axis=1), t.group_starts, axis=1)
     products = x.take(t.left, axis=1) * x.take(t.right, axis=1)
     half = t.pivot.size
@@ -159,7 +159,7 @@ def _proportional_masks(states: Sequence[StateVector], tol: float) -> np.ndarray
     bound = tol * (group_max.take(t.pivot, axis=1) * group_max.take(t.other, axis=1))
     holds = np.logical_and.reduceat(minors <= bound, t.pivot_starts, axis=1)
     pivots = group_max.take(t.split_groups, axis=1).argmax(axis=2) + t.split_groups[:, 0]
-    return holds[np.arange(len(states))[:, None], pivots]
+    return holds[np.arange(len(stack))[:, None], pivots]
 
 
 def _rank_one(m: np.ndarray, tol: float) -> bool:
@@ -272,7 +272,8 @@ def _proportional_splits(state: StateVector, tol: float) -> Iterator[Factorizati
     if n not in CANDIDATE_SPLITS:
         raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
     check_tolerance(tol)
-    for s in np.flatnonzero(_proportional_masks([state], tol)[0]):
+    masks = _proportional_masks(state.amplitudes[None], [state._largest()], tol)
+    for s in np.flatnonzero(masks[0]):
         block = CANDIDATE_SPLITS[n][s]
         rows = _matricize(state.amplitudes, n, block).tolist()
         yield FactorizationWitness(

@@ -26,9 +26,12 @@ and ``base`` decides every product test, the leaf and the cut alike.
 A state whose every node certifies with its first two children gets the
 canonical certificate (``_canonical``): each inner node loses its first
 two labels, so its n - 3 leaves are known before any is decided.
-``detect`` and ``replay_certificate`` form those leaves along the walk's
-own projections (``_descent``, ``_canonical_leaves``) and decide them in
-one call of the leaf kernel; anything else takes the walk.
+``detect`` and ``replay_certificate`` form those leaves from the walk's
+first descent (``_descent``) a whole level of the certificate at a time
+(``_canonical_leaves``): one ``states._lose_second`` forms each level
+from the one above, bit for bit the walk's projections under its zero
+rule, and one call of the leaf kernel decides them; anything else takes
+the walk.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .base import (
     CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
 )
 from .states import (
-    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, check_tolerance, lose_qubit,
+    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, _lose_second, _row_moduli, _Rows,
+    _stacked, check_tolerance, lose_qubit,
 )
 
 
@@ -90,6 +94,10 @@ _Cache = Dict[Tuple[int, ...], _Entry]
 
 # States with the labels of their qubits, as ``detect``'s first descent forms them.
 _Chain = List[Tuple[StateVector, Tuple[int, ...]]]
+
+# The canonical leaves are formed a level at a time from the first level whose
+# nodes hold at most this many amplitudes (256 KiB); above it, one at a time.
+_LEVEL_AMPLITUDES = 2**14
 
 _ROW_ENTRY = {
     VerdictKind.GENUINE: "entangled",
@@ -279,22 +287,54 @@ def _descent(state: StateVector, labels: Tuple[int, ...]) -> _Chain:
     return chain
 
 
-def _canonical_leaves(chain: _Chain) -> Optional[List[StateVector]]:
-    """The leaves of ``_canonical`` below the states of a ``_descent``,
-    emptying ``chain``: each state with its second label lost until four
-    qubits remain.  They are formed in the walk's order, last state first,
-    by the walk's projections, and each state is dropped once its leaf is
-    formed; None if a projection vanishes."""
-    leaves = []
+def _canonical_leaves(chain: _Chain) -> Optional[_Rows]:
+    """The leaves of ``_canonical`` below the states of a nonempty
+    ``_descent``, as the rows of one array, the first state's leaf first:
+    each state with its second label lost until four qubits remain.  None
+    if a projection vanishes; ``chain`` is emptied.
+
+    Level d holds a node on d qubits fewer than the first state for each
+    of the first d + 1 states (for all of them, if there are fewer), the
+    d-th state itself last.  Level d + 1 is one ``_lose_second`` of level
+    d, with the next state, if any, as its last row, so each node is the
+    walk's projection, bit for bit.  The nodes above the first level of at
+    most ``_LEVEL_AMPLITUDES`` amplitudes (d + 1 nodes counted) are formed
+    one ``_project`` at a time instead, last state first, each state
+    dropped once its node on that level is formed.
+    """
+    n = len(chain[0][1])
+    start = next(d for d in range(n) if (d + 1) << (n - d) <= _LEVEL_AMPLITUDES)
+    tail = [current for current, _ in reversed(chain[start + 1:])]
+    del chain[start + 1:]
+    nodes = []
     while chain:
         current, labels = chain.pop()
-        while len(labels) > _EXACT_MAX:
+        while len(labels) > n - start:
             current = _project(current, labels, 2)
             if current is None:
                 return None
             labels = labels[:1] + labels[2:]
-        leaves.append(current)
-    return leaves
+        nodes.append(current)
+    level = _stacked(nodes[::-1])
+    for _ in range(n - _EXACT_MAX - start):
+        level = _lose_second(*level, tail.pop() if tail else None)
+        if level is None:
+            return None
+    return level[0]
+
+
+def _canonical_batch(chain: _Chain, tol: float) -> Optional[bool]:
+    """Whether every leaf of ``_canonical`` below the states of a
+    ``_descent`` passes the exact test, all decided in one kernel call;
+    None if a projection on the way vanishes or overflows.  ``chain`` is
+    emptied."""
+    if not chain:
+        return True
+    try:
+        leaves = _canonical_leaves(chain)
+    except ProjectionOverflow:
+        return None
+    return None if leaves is None else _all_genuine([leaves], tol)
 
 
 def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
@@ -324,11 +364,7 @@ def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
         verdict = _walk(current, labels, tol, cache)
         cert = verdict.certificate
         if len(labels) == _EXACT_MAX + 1 and cert is not None and cert.lost == labels[:2]:
-            try:
-                leaves = _canonical_leaves(chain)
-            except ProjectionOverflow:
-                leaves = None
-            if leaves is not None and _all_genuine([leaves], tol):
+            if _canonical_batch(chain, tol):
                 return Verdict(VerdictKind.GENUINE, certificate=_canonical(state.num_qubits))
             return _walk(state, root, tol, cache)
     return verdict
@@ -375,11 +411,11 @@ def _preorder(certificate: Certificate) -> Iterator[Tuple[Certificate, int, bool
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _all_genuine(groups: Iterable[List[StateVector]], tol: float) -> bool:
-    """Whether the exact test finds no proportional split in any of the
-    states, in groups of one qubit count each, with one call of it per
-    group that is not empty."""
-    return not any(_proportional_masks(group, tol).any() for group in groups if group)
+def _all_genuine(stacks: Iterable[_Rows], tol: float) -> bool:
+    """Whether the exact test finds no proportional split in any row of the
+    stacks, each the amplitudes of states on one qubit count, with one call
+    of it per stack."""
+    return not any(_proportional_masks(stack, _row_moduli(stack), tol).any() for stack in stacks)
 
 
 def replay_certificate(
@@ -404,11 +440,11 @@ def replay_certificate(
     if len(root) > _EXACT_MAX and certificate is _canonical(len(root)):
         try:
             chain = _descent(state, root)
-            batch = _canonical_leaves(chain) if len(chain[-1][1]) == _EXACT_MAX else None
         except ProjectionOverflow:
-            batch = None
-        if batch is not None:
-            return _all_genuine([batch], tol)
+            chain = None
+        passed = _canonical_batch(chain, tol) if chain and len(chain[-1][1]) == _EXACT_MAX else None
+        if passed is not None:
+            return passed
     states, entered = {root: state}, set()
     leaves: Dict[int, List[StateVector]] = {}
     try:
@@ -439,10 +475,10 @@ def replay_certificate(
                     states[child.qubits] = proj
     except ProjectionOverflow:
         # A leaf met before the overflow that fails the test decides first.
-        if _all_genuine(leaves.values(), tol):
+        if _all_genuine((_stacked(group)[0] for group in leaves.values()), tol):
             raise
         return False
-    return _all_genuine(leaves.values(), tol)
+    return _all_genuine((_stacked(group)[0] for group in leaves.values()), tol)
 
 
 def format_certificate(certificate: Optional[Certificate], indent: int = 0) -> str:

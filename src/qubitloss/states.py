@@ -20,7 +20,10 @@ real and imaginary parts, 0.0 exactly when it is zero (a built state's
 largest part, taken in ``_numbers``'s finiteness pass; a projection's
 twice its input's, or 0.0), which proves the sums cannot overflow and,
 from the first amplitude alone, settles the zero rule whenever it is
-not close; only then is a largest modulus taken.
+not close; only then is a largest modulus taken.  ``_lose_second``
+projects a stack of states on one qubit count at once, every row losing
+its second qubit in one add, bit for bit as ``lose_qubit`` would and
+under the same bound and zero rule.
 The projection is linear, losses of different qubits commute, and the
 result is a pure state, unlike a partial trace.  It is never
 renormalized, and one that vanishes counts as a product.
@@ -376,6 +379,41 @@ class ProjectionOverflow(ValueError):
         )
 
 
+def _add_halves(a: np.ndarray, b: np.ndarray, bound: float, out: np.ndarray | None = None):
+    """``a + b``, written into ``out`` if one is given, or None if a sum is
+    not finite.
+
+    ``bound`` is twice a bound B on the parts of ``a`` and ``b``.  Two parts
+    of at most B round to a sum of at most 2B, so only a ``bound`` past the
+    float maximum lets a sum overflow, and only then are the sums checked.
+    """
+    if bound <= sys.float_info.max:
+        return np.add(a, b, out=out)
+    with np.errstate(over="ignore"):
+        sums = np.add(a, b, out=out)
+    return sums if np.isfinite(sums.view(np.float64)).all() else None
+
+
+def _unsettled(first: complex, bound: float) -> bool:
+    """Whether the zero rule needs largest moduli to decide a projection
+    whose first amplitude is ``first`` and whose parts ``bound``, at least
+    twice its input's bound, caps.
+
+    The input's bound is at least each of its parts, so its largest modulus
+    is at most sqrt(2) times that, below ``bound``, while |first| is at
+    least its larger part: a part of ``first`` above the threshold at
+    ``bound`` settles "not zero" with no pass over either state.
+    """
+    return max(abs(first.real), abs(first.imag)) <= DEFAULT_ZERO_RTOL * bound
+
+
+def _vanished(largest, input_largest):
+    """The zero rule, on largest moduli (floats or arrays of them): a
+    projection vanishes when its largest is at most ``DEFAULT_ZERO_RTOL``
+    times its input's."""
+    return largest <= DEFAULT_ZERO_RTOL * input_largest
+
+
 class ProjectionResult(NamedTuple):
     state: StateVector
     lost_qubit: int
@@ -391,26 +429,63 @@ def lose_qubit(state: StateVector, k: int) -> ProjectionResult:
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     pairs = state.amplitudes.reshape(1 << (k - 1), 2, 1 << (n - k))
-    # Two parts of at most B round to a sum of at most 2B, so only a bound past
-    # the float maximum lets a sum overflow, and ProjectionOverflow reports it.
     bound = 2.0 * state._bound
-    if bound <= sys.float_info.max:
-        out = (pairs[:, 0] + pairs[:, 1]).ravel()
-    else:
-        with np.errstate(over="ignore"):
-            out = (pairs[:, 0] + pairs[:, 1]).ravel()
-        if not np.isfinite(out.view(np.float64)).all():
-            raise ProjectionOverflow(k, range(1, n + 1))
-    # The zero rule compares largest moduli.  The input's bound is at least
-    # each of its parts, so its largest modulus is at most sqrt(2) times
-    # that, below ``bound``, while |out[0]| is at least its larger part: a
-    # part of out[0] above the threshold at ``bound`` settles "not zero"
-    # with no pass over either state.
-    first = out.item(0)
-    close = max(abs(first.real), abs(first.imag)) <= DEFAULT_ZERO_RTOL * bound
-    largest = largest_modulus(out) if close else None
-    is_zero = largest is not None and largest <= DEFAULT_ZERO_RTOL * state._largest()
+    out = _add_halves(pairs[:, 0], pairs[:, 1], bound)
+    if out is None:
+        raise ProjectionOverflow(k, range(1, n + 1))
+    out = out.ravel()
+    largest = largest_modulus(out) if _unsettled(out.item(0), bound) else None
+    is_zero = largest is not None and _vanished(largest, state._largest())
     return ProjectionResult(StateVector._adopt(n - 1, out, bound, largest), k, is_zero)
+
+
+# The amplitudes of states on one qubit count as the rows of one array, and
+# such rows with a bound on every part.
+_Rows = np.ndarray
+_Level = Tuple[_Rows, float]
+
+
+def _stacked(states: Sequence[StateVector]) -> _Level:
+    """The states, all on one qubit count, as a ``_Level``; one state's row
+    is its own array, read-only, and more are copied into a new array."""
+    rows = states[0].amplitudes[None] if len(states) == 1 else np.array(
+        [state.amplitudes for state in states])
+    return rows, max(state._bound for state in states)
+
+
+def _row_moduli(rows: _Rows) -> np.ndarray:
+    """``largest_modulus`` of each row of a 2-D array."""
+    return np.minimum(np.abs(rows).max(axis=1, initial=0.0), sys.float_info.max)
+
+
+def _lose_second(level: _Rows, bound: float, then: StateVector | None) -> _Level | None:
+    """Each row of ``level``, a state on m >= 3 qubits whose parts ``bound``
+    caps, with its second qubit lost, as ``lose_qubit(row, 2)`` forms it, bit
+    for bit, and under its overflow bound and zero rule; then ``then``, a
+    state on m - 1 qubits, if given, as one more row.  One add forms every
+    row, into a new array that has the last row's place already.  None if a
+    row's projection vanishes; an overflow raises ``ProjectionOverflow`` as
+    ``lose_qubit`` does.
+
+    The level's bound caps each row's parts as the row's own bound would,
+    so each row's first amplitude screens its zero rule as in
+    ``lose_qubit``, and only a row that the screen leaves open has its
+    largest modulus and its input's taken.
+    """
+    rows, size = level.shape
+    out = np.empty((rows + (then is not None), size // 2), dtype=complex)
+    sums = out[:rows]
+    pairs = level.reshape(2 * rows, 2, size // 4)
+    bound = 2.0 * bound
+    if _add_halves(pairs[:, 0], pairs[:, 1], bound, sums.reshape(2 * rows, -1)) is None:
+        raise ProjectionOverflow(2, range(1, size.bit_length()))
+    close = [row for row, first in enumerate(sums[:, 0].tolist()) if _unsettled(first, bound)]
+    if close and _vanished(_row_moduli(sums[close]), _row_moduli(level[close])).any():
+        return None
+    if then is not None:
+        out[rows] = then.amplitudes
+        bound = max(bound, then._bound)
+    return out, bound
 
 
 def all_projections(state: StateVector) -> List[ProjectionResult]:

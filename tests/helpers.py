@@ -1,8 +1,9 @@
 """Shared test utilities: a numpy stand-in that fails on any use, random
 partitions, product states, states whose projection nearly cancels, an
 independent bit-string reimplementation of the qubit-loss projection, a
-memo-free reimplementation of the detector's recursion, and the
-all-minors proportionality rule that the exact leaf's kernel implements."""
+memo-free reimplementation of the detector's recursion, the canonical
+certificate's leaves formed one projection at a time, and the all-minors
+proportionality rule that the exact leaf's kernel implements."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from qubitloss import (
     random_product_state,
     random_state,
 )
+from qubitloss.detect import _project
 from qubitloss.states import (
     DEFAULT_TOL, _numbers, check_tolerance, largest_modulus, unit_scale,
 )
@@ -167,6 +169,24 @@ def reference_detect(state: StateVector, labels=None, tol: float = 1e-9) -> Verd
                 certificate=Certificate(labels, "two-projections", lost, children),
             )
     return Verdict(VerdictKind.INCONCLUSIVE)
+
+
+def canonical_leaves_by_column(chain):
+    """The leaves of the canonical certificate below the states of a
+    descent, formed column by column as the walk forms them: each state,
+    last first, loses its second label one projection at a time until four
+    qubits remain, and is dropped once its leaf is formed.  None if a
+    projection vanishes; ``chain`` is emptied."""
+    leaves = []
+    while chain:
+        current, labels = chain.pop()
+        while len(labels) > 4:
+            current = _project(current, labels, 2)
+            if current is None:
+                return None
+            labels = labels[:1] + labels[2:]
+        leaves.append(current)
+    return leaves
 
 
 def all_minors_pair_proportional(u, v, tol: float = DEFAULT_TOL) -> bool:

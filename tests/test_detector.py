@@ -43,10 +43,13 @@ from qubitloss import (
     wclass_3q,
 )
 from qubitloss.cli import main
-from qubitloss.detect import _certificate_json, _preorder, _walk
+from qubitloss.detect import (
+    _canonical, _canonical_leaves, _certificate_json, _descent, _preorder, _walk,
+)
 from qubitloss.oracle import numerical_rank
 from qubitloss.states import ProjectionOverflow, largest_modulus, lose_qubit_set
 from helpers import (
+    canonical_leaves_by_column,
     hadamard_ghz,
     random_bipartition_blocks,
     random_blocks,
@@ -667,6 +670,94 @@ class TestCanonicalReplay:
                 assert expected is not True or tol == 0.0
 
 
+def _vanishes_below_first_column(rng, n):
+    """A dense state whose sum over qubits 2..n-3 is 1e-14 noise.  Of the
+    canonical leaves, only the first descent state's (qubits 1, n-2, n-1,
+    n) loses them all and vanishes.  As in ``_pair_sums_to_noise``, a node
+    that loses all of them but one is |-> on that one up to the noise,
+    which only tol 0 calls genuine, as it must for the 5-qubit state to
+    certify."""
+    amps = _complex_gaussian(rng, (2,) * n)
+    lost = tuple(range(1, n - 3))
+    amps[(slice(None),) + (0,) * len(lost)] -= amps.sum(axis=lost)
+    return StateVector(n, amps.reshape(-1) + 1e-14 * _complex_gaussian(rng, 1 << n))
+
+
+class TestLevelSteps:
+    """``_canonical_leaves`` forms the leaves a level at a time, and they
+    are the walk's, bit for bit, with the walk's zero rule at every node."""
+
+    @pytest.fixture
+    def level_rows(self, monkeypatch):
+        """The number of rows of each level that a level step starts from."""
+        module, rows = sys.modules["qubitloss.detect"], []
+        original = module._lose_second
+
+        def spied(level, *args):
+            rows.append(len(level))
+            return original(level, *args)
+
+        monkeypatch.setattr(module, "_lose_second", spied)
+        return rows
+
+    @pytest.mark.parametrize("n", range(5, 18))
+    def test_leaves_equal_the_column_walk_bit_for_bit(self, level_rows, n):
+        states = (random_state(np.random.default_rng(n), n), ghz(n), w_state(n), dicke(n, 2))
+        for s in states:
+            chain = _descent(s, tuple(range(1, n + 1)))
+            assert len(chain[-1][1]) == 4
+            # Replay passes the whole descent, detect all but its last two states.
+            for part in (chain, chain[:-2]) if n > 5 else (chain,):
+                leaves = _canonical_leaves(list(part))
+                expected = canonical_leaves_by_column(list(part))[::-1]
+                assert leaves.shape == (len(expected), 16)
+                for row, leaf in zip(leaves, expected):
+                    assert np.array_equal(row.view(np.float64), leaf.amplitudes.view(np.float64))
+        # Up to 14 qubits the first level is the first state alone; from 15 on,
+        # the first level of at most 2^14 amplitudes is formed one projection
+        # at a time.
+        assert min(level_rows) == {15: 4, 16: 6, 17: 7}.get(n, 1)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_zero_first_amplitudes_take_the_batch(self, monkeypatch, n):
+        states, module = sys.modules["qubitloss.states"], sys.modules["qubitloss.detect"]
+        original_moduli, original_preorder = states._row_moduli, module._preorder
+        opened, preorders = [], []
+
+        def counted_moduli(rows):
+            opened.append(len(rows))
+            return original_moduli(rows)
+
+        def counted_preorder(cert):
+            preorders.append(cert.qubits)
+            return original_preorder(cert)
+
+        monkeypatch.setattr(states, "_row_moduli", counted_moduli)
+        monkeypatch.setattr(module, "_preorder", counted_preorder)
+        for s in (w_state(n), dicke(n, 2)):
+            verdict = detect(s)
+            assert verdict.certificate is _canonical(n)
+            assert replay_certificate(s, verdict.certificate) is True
+            assert preorders == []
+        # Dicke(n, 2) sums to 0 at |0...0> after one loss, so the screen leaves
+        # rows open there and the zero rule takes their largest moduli.
+        assert opened
+
+    @pytest.mark.parametrize("n", range(7, 10))
+    def test_a_vanishing_row_before_the_last_falls_back(self, batch, n):
+        s = _vanishes_below_first_column(np.random.default_rng(n), n)
+        chain = _descent(s, tuple(range(1, n + 1)))[:-2]
+        assert canonical_leaves_by_column(chain[:1]) is None
+        assert canonical_leaves_by_column(chain[-1:]) is not None
+        assert _canonical_leaves(chain) is None
+        verdict, expected = detect(s, 0.0), reference_detect(s, tol=0.0)
+        assert batch == ["vanished"]
+        assert (verdict.kind, verdict.witness) == (expected.kind, expected.witness)
+        assert verdict == _walked(s, 0.0)
+        cert = _canonical(n)
+        assert replay_certificate(s, cert, 0.0) == replay_certificate(s, _rebuilt(cert), 0.0)
+
+
 class TestMeasure:
     def test_phi4_has_measure_two(self):
         report = entanglement_measure(phi4())
@@ -840,15 +931,22 @@ class TestWalkerWork:
 
     @pytest.fixture
     def projections(self, monkeypatch):
+        """The position lost by each projection: one per ``lose_qubit``
+        call, and one per node that a level step forms."""
         module = sys.modules["qubitloss.detect"]
-        original = module.lose_qubit
+        original, original_level = module.lose_qubit, module._lose_second
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
+        def counted_level(level, *args):
+            calls.extend([2] * len(level))
+            return original_level(level, *args)
+
         monkeypatch.setattr(module, "lose_qubit", counted)
+        monkeypatch.setattr(module, "_lose_second", counted_level)
         return calls
 
     @pytest.mark.parametrize(

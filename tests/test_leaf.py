@@ -129,6 +129,13 @@ def stack_corpus(rng, n):
     return states
 
 
+def stacked_masks(states, tol):
+    """The kernel's masks for the states, passed as one 2-D stack of their
+    amplitudes with each row's largest modulus."""
+    stack = np.array([state.amplitudes for state in states])
+    return _proportional_masks(stack, [state._largest() for state in states], tol)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_a_stack_decides_as_each_state_alone(n, tol):
@@ -136,15 +143,15 @@ def test_a_stack_decides_as_each_state_alone(n, tol):
     states = stack_corpus(rng, n)
     for state in states:
         assert_leaf_matches_reference(state, tol)
-    alone = np.array([_proportional_masks([state], tol)[0] for state in states])
+    alone = np.array([stacked_masks([state], tol)[0] for state in states])
     assert alone.shape == (len(states), len(CANDIDATE_SPLITS[n]))
     assert alone.any() and not alone.all()
     order = rng.permutation(len(states))
-    assert np.array_equal(_proportional_masks([states[k] for k in order], tol), alone[order])
+    assert np.array_equal(stacked_masks([states[k] for k in order], tol), alone[order])
     for size in (2, 3, 7):
         for start in range(0, len(states), size):
             stack = states[start : start + size]
-            assert np.array_equal(_proportional_masks(stack, tol), alone[start : start + size])
+            assert np.array_equal(stacked_masks(stack, tol), alone[start : start + size])
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
