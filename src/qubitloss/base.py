@@ -9,8 +9,9 @@ fixed list of candidate splits: the single split for two qubits, the
 three 1-vs-2 splits for three qubits, and the four 1-vs-3 plus three
 2-vs-2 splits for four qubits; a state is genuinely entangled iff no
 candidate family is proportional.  One kernel, ``_proportional_masks``,
-tests them all for a stack of states in one vectorized pass, by every
-cross minor against each split's group with the largest entry.
+decides every leaf (stacks of them through ``_all_genuine``), testing
+every split of a stack of amplitude rows in one vectorized pass, by
+every cross minor against each split's group with the largest entry.
 
 Every other test is ``_rank_one``: rows scaled exactly, and their
 2x2 cross minors against the largest entry, so zero entries need no
@@ -24,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .states import (
-    DEFAULT_TOL, Bipartition, StateVector, _matricize, _numbers, check_tolerance,
-    largest_modulus, unit_scale,
+    DEFAULT_TOL, Bipartition, StateVector, _matricize, _numbers, _row_moduli, _Rows,
+    check_tolerance, largest_modulus, unit_scale,
 )
 
 # Candidate splits in reporting order: single-qubit blocks first, then
@@ -133,22 +134,23 @@ def _leaf_tables(num_qubits: int) -> _LeafTables:
 _partition = lru_cache(maxsize=None)(Bipartition.from_block)
 
 
-def _proportional_masks(stack: np.ndarray, largest: Sequence[float], tol: float) -> np.ndarray:
+def _proportional_masks(stack: _Rows, tol: float) -> np.ndarray:
     """For each row of ``stack``, the amplitudes of a state on 2, 3 or 4
     qubits, all on one count, and each candidate split, whether the split's
     family is proportional (rows of the result in stack order, columns in
-    reporting order).  ``largest`` holds each row's largest modulus.
+    reporting order).
 
-    Each row is scaled by ``unit_scale`` of its largest modulus, which is
-    exact, so the products below neither overflow nor underflow.  The
-    pivot of a split is its group with the largest modulus (the first on
-    ties), nonzero for a nonzero state because the groups cover every
-    amplitude.  Every minor p_i v_j - p_j v_i of another group v against
-    the pivot must be at most ``tol * (pivot max * v max)``.  A zero
-    state passes every split.
+    Each row is scaled by ``unit_scale`` of its largest modulus, as
+    ``_row_moduli`` takes it (its state's ``_largest()``), which is exact,
+    so the products below neither overflow nor underflow.  The pivot of a
+    split is its group with the largest modulus (the first on ties),
+    nonzero for a nonzero state because the groups cover every amplitude.
+    Every minor p_i v_j - p_j v_i of another group v against the pivot
+    must be at most ``tol * (pivot max * v max)``.  A zero state passes
+    every split.
     """
     t = _leaf_tables(stack.shape[1].bit_length() - 1)
-    x = stack * np.array([unit_scale(m) for m in largest])[:, None]
+    x = stack * np.array([unit_scale(m) for m in _row_moduli(stack)])[:, None]
     group_max = np.maximum.reduceat(np.abs(x).take(t.members, axis=1), t.group_starts, axis=1)
     products = x.take(t.left, axis=1) * x.take(t.right, axis=1)
     half = t.pivot.size
@@ -160,6 +162,13 @@ def _proportional_masks(stack: np.ndarray, largest: Sequence[float], tol: float)
     holds = np.logical_and.reduceat(minors <= bound, t.pivot_starts, axis=1)
     pivots = group_max.take(t.split_groups, axis=1).argmax(axis=2) + t.split_groups[:, 0]
     return holds[np.arange(len(stack))[:, None], pivots]
+
+
+def _all_genuine(stacks: Iterable[_Rows], tol: float) -> bool:
+    """Whether the exact test finds no proportional split in any row of the
+    stacks, each the amplitudes of states on one qubit count, with one call
+    of it per stack."""
+    return not any(_proportional_masks(stack, tol).any() for stack in stacks)
 
 
 def _rank_one(m: np.ndarray, tol: float) -> bool:
@@ -272,7 +281,7 @@ def _proportional_splits(state: StateVector, tol: float) -> Iterator[Factorizati
     if n not in CANDIDATE_SPLITS:
         raise ValueError(f"exact tests cover 2..4 qubits, got {n}")
     check_tolerance(tol)
-    masks = _proportional_masks(state.amplitudes[None], [state._largest()], tol)
+    masks = _proportional_masks(state.amplitudes[None], tol)
     for s in np.flatnonzero(masks[0]):
         block = CANDIDATE_SPLITS[n][s]
         rows = _matricize(state.amplitudes, n, block).tolist()

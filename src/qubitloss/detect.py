@@ -30,8 +30,8 @@ two labels, so its n - 3 leaves are known before any is decided.
 first descent (``_descent``) a whole level of the certificate at a time
 (``_canonical_leaves``): one ``states._lose_second`` forms each level
 from the one above, bit for bit the walk's projections under its zero
-rule, and one call of the leaf kernel decides them; anything else takes
-the walk.
+rule, and one ``base._all_genuine`` call decides them.  That batch only
+confirms: anything but its yes takes the walk, or replay's own check.
 """
 
 from __future__ import annotations
@@ -39,14 +39,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .base import (
-    CANDIDATE_SPLITS, FactorizationWitness, _product_across, _proportional_masks, detect_base,
-)
+from .base import CANDIDATE_SPLITS, FactorizationWitness, _all_genuine, _product_across, detect_base
 from .states import (
-    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, _lose_second, _row_moduli, _Rows,
-    _stacked, check_tolerance, lose_qubit,
+    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, _lose_second, _Rows, _stacked,
+    check_tolerance, lose_qubit,
 )
 
 
@@ -323,18 +321,18 @@ def _canonical_leaves(chain: _Chain) -> Optional[_Rows]:
     return level[0]
 
 
-def _canonical_batch(chain: _Chain, tol: float) -> Optional[bool]:
+def _canonical_batch(chain: _Chain, tol: float) -> bool:
     """Whether every leaf of ``_canonical`` below the states of a
-    ``_descent`` passes the exact test, all decided in one kernel call;
-    None if a projection on the way vanishes or overflows.  ``chain`` is
-    emptied."""
+    ``_descent`` is formed and passes the exact test, all decided in one
+    kernel call: False if one fails or a projection on the way vanishes or
+    overflows, so only True settles anything.  ``chain`` is emptied."""
     if not chain:
         return True
     try:
         leaves = _canonical_leaves(chain)
     except ProjectionOverflow:
-        return None
-    return None if leaves is None else _all_genuine([leaves], tol)
+        return False
+    return leaves is not None and _all_genuine([leaves], tol)
 
 
 def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
@@ -411,13 +409,6 @@ def _preorder(certificate: Certificate) -> Iterator[Tuple[Certificate, int, bool
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _all_genuine(stacks: Iterable[_Rows], tol: float) -> bool:
-    """Whether the exact test finds no proportional split in any row of the
-    stacks, each the amplitudes of states on one qubit count, with one call
-    of it per stack."""
-    return not any(_proportional_masks(stack, _row_moduli(stack), tol).any() for stack in stacks)
-
-
 def replay_certificate(
     state: StateVector, certificate: Optional[Certificate], tol: float = DEFAULT_TOL
 ) -> bool:
@@ -429,22 +420,20 @@ def replay_certificate(
     for all the leaves of each size.  True iff every step checks out, so
     False for the None of an inconclusive verdict.  An inner node's
     projected state is dropped when the node is entered.  The shared
-    ``_canonical`` certificate, known by identity, has its leaves formed
-    as ``detect`` forms them; if a projection on the way vanishes or
-    overflows, the node-by-node check below decides.
+    ``_canonical`` certificate, known by identity, first takes ``detect``'s
+    batch, which can only confirm it; anything else is checked node by node.
     """
     check_tolerance(tol)
     root = tuple(range(1, state.num_qubits + 1))
-    if certificate is None or certificate.qubits != root:
+    if not isinstance(certificate, Certificate) or certificate.qubits != root:
         return False
-    if len(root) > _EXACT_MAX and certificate is _canonical(len(root)):
+    if certificate is _canonical(len(root)):
         try:
             chain = _descent(state, root)
         except ProjectionOverflow:
             chain = None
-        passed = _canonical_batch(chain, tol) if chain and len(chain[-1][1]) == _EXACT_MAX else None
-        if passed is not None:
-            return passed
+        if chain and len(chain[-1][1]) == _EXACT_MAX and _canonical_batch(chain, tol):
+            return True
     states, entered = {root: state}, set()
     leaves: Dict[int, List[StateVector]] = {}
     try:
@@ -466,6 +455,8 @@ def replay_certificate(
                 if lost not in labels:
                     return False
                 pos = labels.index(lost)
+                if not isinstance(child, Certificate):
+                    return False
                 if child.qubits != labels[:pos] + labels[pos + 1:]:
                     return False
                 if id(child) not in entered and child.qubits not in states:

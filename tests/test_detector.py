@@ -276,10 +276,14 @@ class TestCertificates:
         ),
         lambda c: replace(c, rule="exact"),
         lambda c: _with_first_leaf(c, children=(Certificate((7,), "oracle"),)),
+        lambda c: "x",
+        lambda c: replace(c, children=(None, None)),
+        lambda c: replace(c, children=tuple(child.qubits for child in c.children)),
     ], ids=[
         "lost-not-in-node", "child-not-parent-minus-lost", "equal-lost",
         "three-lost", "one-child", "unknown-rule", "exact-on-5-qubits",
-        "exact-on-6-qubits", "exact-with-children",
+        "exact-on-6-qubits", "exact-with-children", "root-not-a-certificate",
+        "children-none", "children-label-tuples",
     ])
     def test_forged_certificate_rejected(self, forge):
         s = ghz(6)
@@ -1025,6 +1029,26 @@ class TestWalkerWork:
         # lost qubit on either side and then goes on to the next child.
         assert detect(hadamard_ghz(8)).kind is VerdictKind.INCONCLUSIVE
         assert cut_tests.count(8) == 2 * 8
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_one_kernel_hook_sees_every_leaf_decision(self, monkeypatch, n):
+        # The walk's leaves, the canonical batch and replay all ask the exact
+        # test through base, so one hook there sees each stack they decide.
+        module, rows = sys.modules["qubitloss.base"], []
+        original = module._proportional_masks
+
+        def counted(stack, *args):
+            rows.append(len(stack))
+            return original(stack, *args)
+
+        monkeypatch.setattr(module, "_proportional_masks", counted)
+        s = random_state(np.random.default_rng(n), n)
+        verdict = detect(s)
+        assert rows == [1, 1] + ([n - 5] if n > 5 else [])
+        rows.clear()
+        assert replay_certificate(s, verdict.certificate)
+        assert rows == [n - 3]
+        assert not hasattr(sys.modules["qubitloss.detect"], "_proportional_masks")
 
     def test_measure_command_walks_once(self, projections, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0

@@ -131,9 +131,8 @@ def stack_corpus(rng, n):
 
 def stacked_masks(states, tol):
     """The kernel's masks for the states, passed as one 2-D stack of their
-    amplitudes with each row's largest modulus."""
-    stack = np.array([state.amplitudes for state in states])
-    return _proportional_masks(stack, [state._largest() for state in states], tol)
+    amplitudes."""
+    return _proportional_masks(np.array([state.amplitudes for state in states]), tol)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
