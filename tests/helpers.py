@@ -171,6 +171,22 @@ def reference_detect(state: StateVector, labels=None, tol: float = 1e-9) -> Verd
     return Verdict(VerdictKind.INCONCLUSIVE)
 
 
+def descent_by_projection(state):
+    """The walk's first descent as (state, labels) pairs, one
+    ``lose_qubit(state, 1)`` at a time: ``state`` on labels 1..n, then each
+    state with its first label lost, down to four qubits, stopping before a
+    projection that vanishes; an overflow raises the walk's message."""
+    labels = tuple(range(1, state.num_qubits + 1))
+    chain = [(state, labels)]
+    while len(labels) > 4:
+        state = _project(state, labels, 1)
+        if state is None:
+            break
+        labels = labels[1:]
+        chain.append((state, labels))
+    return chain
+
+
 def canonical_leaves_by_column(chain):
     """The leaves of the canonical certificate below the states of a
     descent, formed column by column as the walk forms them: each state,

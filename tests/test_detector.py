@@ -50,6 +50,7 @@ from qubitloss.oracle import numerical_rank
 from qubitloss.states import ProjectionOverflow, largest_modulus, lose_qubit_set
 from helpers import (
     canonical_leaves_by_column,
+    descent_by_projection,
     hadamard_ghz,
     random_bipartition_blocks,
     random_blocks,
@@ -279,11 +280,13 @@ class TestCertificates:
         lambda c: "x",
         lambda c: replace(c, children=(None, None)),
         lambda c: replace(c, children=tuple(child.qubits for child in c.children)),
+        lambda c: replace(c, lost=5),
+        lambda c: replace(c, children=None),
     ], ids=[
         "lost-not-in-node", "child-not-parent-minus-lost", "equal-lost",
         "three-lost", "one-child", "unknown-rule", "exact-on-5-qubits",
         "exact-on-6-qubits", "exact-with-children", "root-not-a-certificate",
-        "children-none", "children-label-tuples",
+        "children-none", "children-label-tuples", "lost-an-int", "children-not-a-tuple",
     ])
     def test_forged_certificate_rejected(self, forge):
         s = ghz(6)
@@ -536,6 +539,34 @@ def batch(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """Each projection that ``detect`` or replay forms, as the qubit count
+    it is formed from and the position it loses: one per ``lose_qubit``
+    or ``_lose_first`` call, and one per row that a level step forms."""
+    module, calls = sys.modules["qubitloss.detect"], []
+    lose, first, step = module.lose_qubit, module._lose_first, module._level_step
+
+    def counted(state, pos):
+        calls.append((state.num_qubits, pos))
+        return lose(state, pos)
+
+    def counted_first(state, rows):
+        calls.append((state.num_qubits, 1))
+        return first(state, rows)
+
+    def counted_step(level, bound, out=None):
+        m = level.shape[1].bit_length() - 1
+        calls.extend([(m, 1)] if out is None else [])
+        calls.extend([(m, 2)] * (len(level) if out is None else len(out) - 1))
+        return step(level, bound, out)
+
+    monkeypatch.setattr(module, "lose_qubit", counted)
+    monkeypatch.setattr(module, "_lose_first", counted_first)
+    monkeypatch.setattr(module, "_level_step", counted_step)
+    return calls
+
+
 # Each fallback's state builder, tolerance and what the batch formed (None:
 # the descent vanished, so no batch started).
 _FALLBACKS = {
@@ -577,17 +608,10 @@ class TestCanonicalPass:
         assert verdict == _walked(s, tol)
 
     @pytest.mark.parametrize("n", [6, 9])
-    def test_without_a_batch_detect_projects_as_the_walk_does(self, monkeypatch, batch, n):
+    def test_without_a_batch_detect_projects_as_the_walk_does(self, formed, batch, n):
         # The bottom-up walk finds each descent state's first child cached,
         # a vanished one included, so it repeats no projection.
-        module, rng = sys.modules["qubitloss.detect"], np.random.default_rng(n)
-        original, calls = module.lose_qubit, []
-
-        def counted(state, pos):
-            calls.append((state.num_qubits, pos))
-            return original(state, pos)
-
-        monkeypatch.setattr(module, "lose_qubit", counted)
+        rng, calls = np.random.default_rng(n), formed
         states = [_minus_on(q, rng, n) for q in range(1, n + 1)]
         states += [random_product(rng, random_partition_blocks(rng, n)) for _ in range(4)]
         for s in states:
@@ -695,25 +719,32 @@ class TestLevelSteps:
     def level_rows(self, monkeypatch):
         """The number of rows of each level that a level step starts from."""
         module, rows = sys.modules["qubitloss.detect"], []
-        original = module._lose_second
+        original = module._level_step
 
         def spied(level, *args):
             rows.append(len(level))
             return original(level, *args)
 
-        monkeypatch.setattr(module, "_lose_second", spied)
+        monkeypatch.setattr(module, "_level_step", spied)
         return rows
 
     @pytest.mark.parametrize("n", range(5, 18))
     def test_leaves_equal_the_column_walk_bit_for_bit(self, level_rows, n):
         states = (random_state(np.random.default_rng(n), n), ghz(n), w_state(n), dicke(n, 2))
         for s in states:
-            chain = _descent(s, tuple(range(1, n + 1)))
+            root = tuple(range(1, n + 1))
+            walked, (chain, levels) = descent_by_projection(s), _descent(s, root)
             assert len(chain[-1][1]) == 4
-            # Replay passes the whole descent, detect all but its last two states.
-            for part in (chain, chain[:-2]) if n > 5 else (chain,):
-                leaves = _canonical_leaves(list(part))
-                expected = canonical_leaves_by_column(list(part))[::-1]
+            # Replay passes the state alone and gets the leaves below the
+            # whole descent; detect passes all but the descent's last two
+            # states, and up to 14 qubits its levels, which leave out the
+            # leaves of those two.
+            parts = [([(s, root)], [], list(walked))]
+            if n > 5:
+                parts.append((chain[:-2], levels, walked[:-2] if levels else walked))
+            for part, given, column in parts:
+                leaves = _canonical_leaves(part, given)
+                expected = canonical_leaves_by_column(column)[::-1]
                 assert leaves.shape == (len(expected), 16)
                 for row, leaf in zip(leaves, expected):
                     assert np.array_equal(row.view(np.float64), leaf.amplitudes.view(np.float64))
@@ -721,6 +752,39 @@ class TestLevelSteps:
         # the first level of at most 2^14 amplitudes is formed one projection
         # at a time.
         assert min(level_rows) == {15: 4, 16: 6, 17: 7}.get(n, 1)
+
+    @pytest.mark.parametrize("n", range(5, 18))
+    def test_descent_is_the_lose_qubit_loop_bit_for_bit(self, n):
+        # Each descent state is a level's last row, formed by the step's
+        # position-1 add: its amplitudes, bound and largest modulus, where
+        # the descent stops and the message of an overflow are those of
+        # lose_qubit(state, 1) taken again and again.
+        rng = np.random.default_rng(n)
+        dense = random_state(rng, n)
+        states = (dense, ghz(n), w_state(n), dicke(n, 2), StateVector(n, 1e307 * dense.amplitudes),
+                  _vanishes_below_first_column(rng, n))
+        root = tuple(range(1, n + 1))
+        for s in states:
+            try:
+                walked = descent_by_projection(s)
+            except ProjectionOverflow as exc:
+                with pytest.raises(ProjectionOverflow) as raised:
+                    _descent(s, root)
+                assert str(raised.value) == str(exc)
+                continue
+            chain, levels = _descent(s, root)
+            assert [labels for _, labels in chain] == [labels for _, labels in walked]
+            for (state, _), (expected, _) in zip(chain, walked):
+                assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+                assert (state._bound, state._max_abs) == (expected._bound, expected._max_abs)
+            if n > 5 and len(chain[-1][1]) == 4:
+                leaves = _outcome(lambda: _canonical_leaves(chain[:-2], levels))
+                expected = _outcome(lambda: canonical_leaves_by_column(
+                    walked[:-2] if levels else walked))
+                if expected is None or isinstance(expected, tuple):
+                    assert (leaves is None) == (expected is None)
+                else:
+                    assert np.array_equal(leaves, np.array([s.amplitudes for s in expected[::-1]]))
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_zero_first_amplitudes_take_the_batch(self, monkeypatch, n):
@@ -750,10 +814,11 @@ class TestLevelSteps:
     @pytest.mark.parametrize("n", range(7, 10))
     def test_a_vanishing_row_before_the_last_falls_back(self, batch, n):
         s = _vanishes_below_first_column(np.random.default_rng(n), n)
-        chain = _descent(s, tuple(range(1, n + 1)))[:-2]
+        chain, levels = _descent(s, tuple(range(1, n + 1)))
+        chain = chain[:-2]
         assert canonical_leaves_by_column(chain[:1]) is None
         assert canonical_leaves_by_column(chain[-1:]) is not None
-        assert _canonical_leaves(chain) is None
+        assert _canonical_leaves(chain, levels) is None
         verdict, expected = detect(s, 0.0), reference_detect(s, tol=0.0)
         assert batch == ["vanished"]
         assert (verdict.kind, verdict.witness) == (expected.kind, expected.witness)
@@ -933,35 +998,15 @@ class TestWalkerWork:
     lattice once with one cache, and their sweep of the root's children
     does not reach the subtrees below."""
 
-    @pytest.fixture
-    def projections(self, monkeypatch):
-        """The position lost by each projection: one per ``lose_qubit``
-        call, and one per node that a level step forms."""
-        module = sys.modules["qubitloss.detect"]
-        original, original_level = module.lose_qubit, module._lose_second
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        def counted_level(level, *args):
-            calls.extend([2] * len(level))
-            return original_level(level, *args)
-
-        monkeypatch.setattr(module, "lose_qubit", counted)
-        monkeypatch.setattr(module, "_lose_second", counted_level)
-        return calls
-
     @pytest.mark.parametrize(
         "entry, expected",
         [(detect, 14), (entanglement_measure, 54), (detect_with_trace, 54)],
     )
-    def test_projection_count(self, projections, entry, expected):
+    def test_projection_count(self, formed, entry, expected):
         entry(ghz(8))
-        assert len(projections) == expected
+        assert len(formed) == expected
 
-    def test_replay_projects_each_subset_once(self, projections):
+    def test_replay_projects_each_subset_once(self, formed):
         s = ghz(8)
         cert = detect(s).certificate
         subsets, stack = set(), [cert]
@@ -969,9 +1014,28 @@ class TestWalkerWork:
             node = stack.pop()
             subsets.add(node.qubits)
             stack.extend(node.children)
-        projections.clear()
+        formed.clear()
         assert replay_certificate(s, cert)
-        assert len(projections) == len(subsets) - 1 == 14
+        assert len(formed) == len(subsets) - 1 == 14
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_the_canonical_pass_calls_lose_qubit_once(self, monkeypatch, n):
+        # The level steps form detect's descent and both batches, so only
+        # the 5-qubit state's walk calls lose_qubit, for its second child.
+        module, calls = sys.modules["qubitloss.detect"], []
+        original = module.lose_qubit
+
+        def counted(state, pos):
+            calls.append((state.num_qubits, pos))
+            return original(state, pos)
+
+        monkeypatch.setattr(module, "lose_qubit", counted)
+        s = random_state(np.random.default_rng(n), n)
+        assert detect(s).certificate is _canonical(n)
+        assert calls == [(5, 2)]
+        calls.clear()
+        assert replay_certificate(s, _canonical(n))
+        assert calls == []
 
     def test_replay_peak_memory_stays_near_one_state(self):
         # A projected state is dropped once its node is entered, so the
@@ -1002,12 +1066,12 @@ class TestWalkerWork:
         monkeypatch.setattr(module, "_product_across", counted)
         return sizes
 
-    def test_product_stops_at_a_verified_cut(self, projections, cut_tests):
+    def test_product_stops_at_a_verified_cut(self, formed, cut_tests):
         # The walk without the cut makes 847 projections here.
         s = random_product(np.random.default_rng(10), [(1, 4, 6, 9), (2, 3, 5, 7, 8, 10)])
         verdict = detect(s)
         assert verdict.kind is VerdictKind.INCONCLUSIVE and verdict.witness is None
-        assert len(projections) <= 20
+        assert len(formed) <= 20
         assert cut_tests
 
     @pytest.mark.parametrize("entry", [detect, entanglement_measure])
@@ -1017,11 +1081,11 @@ class TestWalkerWork:
             entry(s)
         assert cut_tests == []
 
-    def test_hadamard_ghz_walks_less(self, projections):
+    def test_hadamard_ghz_walks_less(self, formed):
         # Every projection of H^8 GHZ(8) is a product; without the cut the
         # walk projects onto all 162 subsets of >= 4 qubits but the root.
         assert detect(hadamard_ghz(8)).kind is VerdictKind.INCONCLUSIVE
-        assert len(projections) < 162
+        assert len(formed) < 162
 
     def test_a_node_that_is_no_product_tests_two_cuts_per_child(self, cut_tests):
         # The root of H^8 GHZ(8) is genuine and each of its 8 children is a
@@ -1050,9 +1114,9 @@ class TestWalkerWork:
         assert rows == [n - 3]
         assert not hasattr(sys.modules["qubitloss.detect"], "_proportional_masks")
 
-    def test_measure_command_walks_once(self, projections, capsys):
+    def test_measure_command_walks_once(self, formed, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
-        assert len(projections) == 54
+        assert len(formed) == 54
 
     def test_only_the_root_takes_a_largest_modulus_above_a_leaf(self, monkeypatch):
         # A built state takes the bound on its parts when it is checked, a
