@@ -938,6 +938,20 @@ class TestSoundnessItem1:
         assert detect(s).kind is not VerdictKind.GENUINE
 
     @_ITEM_1
+    def test_near_product_found_by_the_property_test_is_never_genuine(self):
+        # One of _near_products' cancelling draws (seed 2537, n = 7, |-> like
+        # factors on labels 3 and 4 at delta ~3e-7): detect certifies it while
+        # reference_detect, forming its projections on other paths, does not.
+        n, deltas = 7, [10.0 ** -6.5, 10.0 ** -6.46875]
+        rng = np.random.default_rng(2537)
+        labels = [int(q) for q in rng.permutation(n) + 1]
+        s = product_state(
+            [((q,), StateVector(1, [1, -(1 + d)])) for q, d in zip(labels, deltas)]
+            + [(tuple(sorted(labels[2:])), random_state(rng, n - 2))]
+        )
+        assert detect(s).kind is not VerdictKind.GENUINE
+
+    @_ITEM_1
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("n", range(5, 9))
     def test_noisy_minus_product_is_never_genuine(self, n, seed):
