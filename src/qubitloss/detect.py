@@ -31,10 +31,9 @@ the certificate at a time (``_canonical_leaves``): one
 ``states._level_step`` forms each level from the one above, the walk's
 first descent (``_descent``) down its last rows, bit for bit the walk's
 projections under its zero rule, and one ``base._all_genuine`` call
-decides them.  ``detect`` forms its descent first, with the step's
-position-1 add alone (``states._lose_first``), and the other rows only
-once its 5-qubit state certifies.  That batch only confirms: anything
-but its yes takes the walk, or replay's own check.
+decides them, but for the two that ``detect``'s 5-qubit walk decided.
+That batch only confirms: anything but its yes takes the walk, or
+replay's own check.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .base import CANDIDATE_SPLITS, FactorizationWitness, _all_genuine, _product_across, detect_base
 from .states import (
-    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, _level_step, _lose_first, _Rows,
-    _stacked, check_tolerance, lose_qubit,
+    DEFAULT_TOL, Bipartition, ProjectionOverflow, StateVector, _level_step, _Rows, _stacked,
+    check_tolerance, lose_qubit,
 )
 
 
@@ -274,55 +273,42 @@ def _canonical(num_qubits: int) -> Certificate:
     return node(tuple(range(1, num_qubits + 1)))
 
 
-def _descent(state: StateVector, labels: Tuple[int, ...]) -> Tuple[_Chain, List[_Rows]]:
-    """The walk's first descent as (state, labels) pairs: ``state`` on
-    ``labels``, then each state with its first label lost, down to four
-    qubits, stopping before a projection that vanishes; and, if ``state``
-    holds at most ``_LEVEL_AMPLITUDES`` amplitudes, the levels of
-    ``_canonical_leaves`` below it, each state the last row of its own,
-    the rows before it left unformed (none on the last level for the node
-    that the 5-qubit state's walk projects itself)."""
-    n, chain, levels = len(labels), [(state, labels)], []
-    stacked = 1 << n <= _LEVEL_AMPLITUDES
-    while len(labels) > _EXACT_MAX:
-        try:
-            level, proj = _lose_first(state, min(len(chain), n - 5) + 1 if stacked else 1)
-        except ProjectionOverflow:
-            raise ProjectionOverflow(labels[0], labels) from None
-        if proj.is_zero:
-            break
-        state, labels = proj.state, labels[1:]
-        chain.append((state, labels))
-        if stacked:
-            levels.append(level)
-    return chain, levels
-
-
-def _canonical_leaves(chain: _Chain, levels: List[_Rows]) -> Optional[_Rows]:
-    """The leaves of ``_canonical`` below a ``_descent``, as the rows of one
-    array, the first state's leaf first: each state with its second label
-    lost until four qubits remain.  ``chain``, a nonempty start of the
-    descent, is emptied.  With no ``levels``, the leaves below every state
-    of the descent, the steps forming its states too; with the descent's
-    ``levels``, those below the states of ``chain``, all of the descent's
-    but the last two.  None if a projection vanishes.
-
-    Level d holds a node on d qubits fewer than the first state for each
-    of the first d + 1 states, the d-th state itself last.  Level d + 1 is
-    one ``_level_step`` of level d, so each node is the walk's projection,
-    bit for bit.  The nodes above the first level of at most
-    ``_LEVEL_AMPLITUDES`` amplitudes are formed one ``_project`` at a time
-    instead, last state first, each state dropped once its node on that
-    level is formed.
-    """
-    n = len(chain[0][1])
-    start = next(d for d in range(n) if (d + 1) << (n - d) <= _LEVEL_AMPLITUDES)
-    while len(chain) <= start:
+def _extend(chain: _Chain, length: int) -> _Chain:
+    """``chain`` extended by first-label losses of its last state until it
+    holds ``length`` states, stopping before a projection that vanishes."""
+    while len(chain) < length:
         current, labels = chain[-1]
         current = _project(current, labels, 1)
         if current is None:
-            return None
+            break
         chain.append((current, labels[1:]))
+    return chain
+
+
+def _descent(state: StateVector, labels: Tuple[int, ...]) -> _Chain:
+    """The walk's first descent as (state, labels) pairs: ``state`` on
+    ``labels``, then each state with its first label lost, down to four
+    qubits, stopping before a projection that vanishes."""
+    return _extend([(state, labels)], len(labels) - _EXACT_MAX + 1)
+
+
+def _canonical_leaves(chain: _Chain) -> Optional[_Rows]:
+    """The leaves of ``_canonical`` below a ``_descent`` that starts with
+    the nonempty ``chain``, as the rows of one array, the first state's
+    leaf first: each state with its second label lost until four qubits
+    remain.  None if a projection vanishes; ``chain`` is emptied.
+
+    Level d holds a node on d qubits fewer than the first state for each
+    of the first d + 1 states, the d-th state itself last, and level d + 1
+    is one ``_level_step`` of level d, so each node is the walk's
+    projection, bit for bit.  The nodes above the first level of at most
+    ``_LEVEL_AMPLITUDES`` amplitudes are formed one ``_project`` at a time
+    instead, last state first, each dropped once its node there is formed.
+    """
+    n = len(chain[0][1])
+    start = next(d for d in range(n) if (d + 1) << (n - d) <= _LEVEL_AMPLITUDES)
+    if len(_extend(chain, start + 1)) <= start:
+        return None
     del chain[start + 1:]
     nodes = []
     while chain:
@@ -334,25 +320,25 @@ def _canonical_leaves(chain: _Chain, levels: List[_Rows]) -> Optional[_Rows]:
             labels = labels[:1] + labels[2:]
         nodes.append(current)
     level = _stacked(nodes[::-1])
-    for out in levels or [None] * (n - _EXACT_MAX - start):
-        level = _level_step(*level, out)
+    for _ in range(n - _EXACT_MAX - start):
+        level = _level_step(*level)
         if level is None:
             return None
-    return level[0][:-1] if levels else level[0]
+    return level[0]
 
 
-def _canonical_batch(chain: _Chain, levels: List[_Rows], tol: float) -> bool:
-    """Whether every leaf of ``_canonical_leaves(chain, levels)`` is formed
-    and passes the exact test, all decided in one kernel call: False if
-    one fails or a projection on the way vanishes or overflows, so only
-    True settles anything."""
+def _canonical_batch(chain: _Chain, tol: float, decided: int = 0) -> bool:
+    """Whether every leaf of ``_canonical_leaves(chain)`` is formed and all
+    but the last ``decided``, which the caller has decided, pass the exact
+    test, in one kernel call: False if one fails or a projection on the way
+    vanishes or overflows, so only True settles anything."""
     if not chain:
         return True
     try:
-        leaves = _canonical_leaves(chain, levels)
+        leaves = _canonical_leaves(chain)
     except ProjectionOverflow:
         return False
-    return leaves is not None and _all_genuine([leaves], tol)
+    return leaves is not None and _all_genuine([leaves[:len(leaves) - decided]], tol)
 
 
 def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
@@ -373,7 +359,7 @@ def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
     _check_input(state, 2, "detection", tol)
     root = tuple(range(1, state.num_qubits + 1))
     cache: _Cache = {}
-    chain, levels = _descent(state, root)
+    chain = _descent(state, root)
     last = chain[-1][1]
     if len(last) > _EXACT_MAX:  # the descent's next projection vanished
         cache[last[1:]] = _VANISHED, None
@@ -382,7 +368,7 @@ def detect(state: StateVector, tol: float = DEFAULT_TOL) -> Verdict:
         verdict = _walk(current, labels, tol, cache)
         cert = verdict.certificate
         if len(labels) == _EXACT_MAX + 1 and cert is not None and cert.lost == labels[:2]:
-            if _canonical_batch(chain, levels, tol):
+            if _canonical_batch(chain, tol, decided=2):
                 return Verdict(VerdictKind.GENUINE, certificate=_canonical(state.num_qubits))
             return _walk(state, root, tol, cache)
     return verdict
@@ -448,7 +434,7 @@ def replay_certificate(
     if not isinstance(certificate, Certificate) or certificate.qubits != root:
         return False
     if (certificate is _canonical(len(root)) and len(root) > _EXACT_MAX
-            and _canonical_batch([(state, root)], [], tol)):
+            and _canonical_batch([(state, root)], tol)):
         return True
     states, entered = {root: state}, set()
     leaves: Dict[int, List[StateVector]] = {}

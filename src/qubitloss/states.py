@@ -24,10 +24,9 @@ not close; only then is a largest modulus taken.  ``_level_step``
 projects a stack of states on one qubit count at once, one add losing
 every row's second qubit and one the last row's first, bit for bit as
 ``lose_qubit`` would and under the same bound and zero rule, screened
-once for the stack; ``_lose_first`` forms that last row alone, as a state.
-The projection is linear, losses of different qubits commute, and the
-result is a pure state, unlike a partial trace.  It is never
-renormalized, and one that vanishes counts as a product.
+once for the stack.  The projection is linear, losses of different
+qubits commute, and the result is a pure state, unlike a partial trace.
+It is never renormalized, and one that vanishes counts as a product.
 """
 
 from __future__ import annotations
@@ -459,28 +458,12 @@ def _row_moduli(rows: _Rows) -> np.ndarray:
     return np.minimum(np.abs(rows).max(axis=1, initial=0.0), sys.float_info.max)
 
 
-def _lose_first(state: StateVector, rows: int) -> Tuple[_Rows, ProjectionResult]:
-    """``lose_qubit(state, 1)``, bit for bit, formed as the last row of a new
-    array of ``rows`` rows: that array, whose other rows a ``_level_step``
-    may fill, and the projection, whose state holds that row."""
-    n, amps = state.num_qubits, state.amplitudes
-    half = amps.size // 2
-    level = np.empty((rows, half), dtype=complex)
-    out, bound = level[-1], 2.0 * state._bound
-    if _add_halves(amps[:half], amps[half:], bound, out) is None:
-        raise ProjectionOverflow(1, range(1, n + 1))
-    largest = largest_modulus(out) if _unsettled(out.item(0), bound) else None
-    is_zero = largest is not None and _vanished(largest, state._largest())
-    return level, ProjectionResult(StateVector._adopt(n - 1, out, bound, largest), 1, is_zero)
-
-
-def _level_step(level: _Rows, bound: float, out: _Rows | None = None) -> _Level | None:
+def _level_step(level: _Rows, bound: float) -> _Level | None:
     """The k rows of ``level``, states on m >= 3 qubits whose parts ``bound``
     caps, each with its second qubit lost, then the last with its first,
     as ``lose_qubit`` forms them, bit for bit and under its overflow bound
-    and zero rule: k + 1 rows of a new array, or those of ``out`` but its
-    last, which ``_lose_first`` formed, from the first rows of ``level``.
-    None if a formed row vanishes; an overflow raises ``ProjectionOverflow``.
+    and zero rule: k + 1 rows of a new array.  None if a formed row
+    vanishes; an overflow raises ``ProjectionOverflow``.
 
     The level's bound caps each row's parts as the row's own bound would,
     so the formed rows' first amplitudes screen their zero rule as
@@ -489,20 +472,16 @@ def _level_step(level: _Rows, bound: float, out: _Rows | None = None) -> _Level 
     """
     rows, size = level.shape
     bound, half = 2.0 * bound, size // 2
-    if out is None:
-        formed = out = np.empty((rows + 1, half), dtype=complex)
-        if _add_halves(level[-1, :half], level[-1, half:], bound, out[-1]) is None:
-            raise ProjectionOverflow(1, range(1, size.bit_length()))
-    else:
-        formed = out[:-1]
-    nodes = len(out) - 1
-    pairs = level[:nodes].reshape(2 * nodes, 2, half // 2)
-    if _add_halves(pairs[:, 0], pairs[:, 1], bound, out[:nodes].reshape(2 * nodes, -1)) is None:
+    out = np.empty((rows + 1, half), dtype=complex)
+    if _add_halves(level[-1, :half], level[-1, half:], bound, out[-1]) is None:
+        raise ProjectionOverflow(1, range(1, size.bit_length()))
+    pairs = level.reshape(2 * rows, 2, half // 2)
+    if _add_halves(pairs[:, 0], pairs[:, 1], bound, out[:-1].reshape(2 * rows, -1)) is None:
         raise ProjectionOverflow(2, range(1, size.bit_length()))
     threshold = DEFAULT_ZERO_RTOL * bound
-    close = [row for row, first in enumerate(formed[:, 0].tolist())
+    close = [row for row, first in enumerate(out[:, 0].tolist())
              if abs(first.real) <= threshold and abs(first.imag) <= threshold]
-    if close and _vanished(_row_moduli(formed[close]),
+    if close and _vanished(_row_moduli(out[close]),
                            _row_moduli(level[np.minimum(close, rows - 1)])).any():
         return None
     return out, bound

@@ -543,26 +543,20 @@ def batch(monkeypatch):
 def formed(monkeypatch):
     """Each projection that ``detect`` or replay forms, as the qubit count
     it is formed from and the position it loses: one per ``lose_qubit``
-    or ``_lose_first`` call, and one per row that a level step forms."""
+    call, and one per row that a level step forms, k + 1 from k rows."""
     module, calls = sys.modules["qubitloss.detect"], []
-    lose, first, step = module.lose_qubit, module._lose_first, module._level_step
+    lose, step = module.lose_qubit, module._level_step
 
     def counted(state, pos):
         calls.append((state.num_qubits, pos))
         return lose(state, pos)
 
-    def counted_first(state, rows):
-        calls.append((state.num_qubits, 1))
-        return first(state, rows)
-
-    def counted_step(level, bound, out=None):
+    def counted_step(level, bound):
         m = level.shape[1].bit_length() - 1
-        calls.extend([(m, 1)] if out is None else [])
-        calls.extend([(m, 2)] * (len(level) if out is None else len(out) - 1))
-        return step(level, bound, out)
+        calls.extend([(m, 1)] + [(m, 2)] * len(level))
+        return step(level, bound)
 
     monkeypatch.setattr(module, "lose_qubit", counted)
-    monkeypatch.setattr(module, "_lose_first", counted_first)
     monkeypatch.setattr(module, "_level_step", counted_step)
     return calls
 
@@ -733,18 +727,14 @@ class TestLevelSteps:
         states = (random_state(np.random.default_rng(n), n), ghz(n), w_state(n), dicke(n, 2))
         for s in states:
             root = tuple(range(1, n + 1))
-            walked, (chain, levels) = descent_by_projection(s), _descent(s, root)
+            walked, chain = descent_by_projection(s), _descent(s, root)
             assert len(chain[-1][1]) == 4
-            # Replay passes the state alone and gets the leaves below the
-            # whole descent; detect passes all but the descent's last two
-            # states, and up to 14 qubits its levels, which leave out the
-            # leaves of those two.
-            parts = [([(s, root)], [], list(walked))]
-            if n > 5:
-                parts.append((chain[:-2], levels, walked[:-2] if levels else walked))
-            for part, given, column in parts:
-                leaves = _canonical_leaves(part, given)
-                expected = canonical_leaves_by_column(column)[::-1]
+            # Replay passes the state alone and detect all but the descent's
+            # last two states; both get the leaves below the whole descent.
+            parts = [[(s, root)]] + ([chain[:-2]] if n > 5 else [])
+            expected = canonical_leaves_by_column(walked)[::-1]
+            for part in parts:
+                leaves = _canonical_leaves(part)
                 assert leaves.shape == (len(expected), 16)
                 for row, leaf in zip(leaves, expected):
                     assert np.array_equal(row.view(np.float64), leaf.amplitudes.view(np.float64))
@@ -755,10 +745,11 @@ class TestLevelSteps:
 
     @pytest.mark.parametrize("n", range(5, 18))
     def test_descent_is_the_lose_qubit_loop_bit_for_bit(self, n):
-        # Each descent state is a level's last row, formed by the step's
-        # position-1 add: its amplitudes, bound and largest modulus, where
-        # the descent stops and the message of an overflow are those of
-        # lose_qubit(state, 1) taken again and again.
+        # The descent's states (amplitudes, bound and largest modulus),
+        # where it stops and the message of an overflow are those of
+        # lose_qubit(state, 1) taken again and again, and the leaves that
+        # detect's batch forms from all but its last two states are the
+        # column walk's.
         rng = np.random.default_rng(n)
         dense = random_state(rng, n)
         states = (dense, ghz(n), w_state(n), dicke(n, 2), StateVector(n, 1e307 * dense.amplitudes),
@@ -772,15 +763,14 @@ class TestLevelSteps:
                     _descent(s, root)
                 assert str(raised.value) == str(exc)
                 continue
-            chain, levels = _descent(s, root)
+            chain = _descent(s, root)
             assert [labels for _, labels in chain] == [labels for _, labels in walked]
             for (state, _), (expected, _) in zip(chain, walked):
                 assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
                 assert (state._bound, state._max_abs) == (expected._bound, expected._max_abs)
             if n > 5 and len(chain[-1][1]) == 4:
-                leaves = _outcome(lambda: _canonical_leaves(chain[:-2], levels))
-                expected = _outcome(lambda: canonical_leaves_by_column(
-                    walked[:-2] if levels else walked))
+                leaves = _outcome(lambda: _canonical_leaves(chain[:-2]))
+                expected = _outcome(lambda: canonical_leaves_by_column(walked))
                 if expected is None or isinstance(expected, tuple):
                     assert (leaves is None) == (expected is None)
                 else:
@@ -814,11 +804,10 @@ class TestLevelSteps:
     @pytest.mark.parametrize("n", range(7, 10))
     def test_a_vanishing_row_before_the_last_falls_back(self, batch, n):
         s = _vanishes_below_first_column(np.random.default_rng(n), n)
-        chain, levels = _descent(s, tuple(range(1, n + 1)))
-        chain = chain[:-2]
+        chain = _descent(s, tuple(range(1, n + 1)))[:-2]
         assert canonical_leaves_by_column(chain[:1]) is None
         assert canonical_leaves_by_column(chain[-1:]) is not None
-        assert _canonical_leaves(chain, levels) is None
+        assert _canonical_leaves(chain) is None
         verdict, expected = detect(s, 0.0), reference_detect(s, tol=0.0)
         assert batch == ["vanished"]
         assert (verdict.kind, verdict.witness) == (expected.kind, expected.witness)
@@ -1014,7 +1003,7 @@ class TestWalkerWork:
 
     @pytest.mark.parametrize(
         "entry, expected",
-        [(detect, 14), (entanglement_measure, 54), (detect_with_trace, 54)],
+        [(detect, 19), (entanglement_measure, 54), (detect_with_trace, 54)],
     )
     def test_projection_count(self, formed, entry, expected):
         entry(ghz(8))
@@ -1034,8 +1023,9 @@ class TestWalkerWork:
 
     @pytest.mark.parametrize("n", range(6, 15))
     def test_the_canonical_pass_calls_lose_qubit_once(self, monkeypatch, n):
-        # The level steps form detect's descent and both batches, so only
-        # the 5-qubit state's walk calls lose_qubit, for its second child.
+        # The level steps form both batches, so the canonical pass calls
+        # lose_qubit once, for the 5-qubit state's second child; the other
+        # calls are detect's descent, and replay makes none.
         module, calls = sys.modules["qubitloss.detect"], []
         original = module.lose_qubit
 
@@ -1046,7 +1036,7 @@ class TestWalkerWork:
         monkeypatch.setattr(module, "lose_qubit", counted)
         s = random_state(np.random.default_rng(n), n)
         assert detect(s).certificate is _canonical(n)
-        assert calls == [(5, 2)]
+        assert calls == [(m, 1) for m in range(n, 4, -1)] + [(5, 2)]
         calls.clear()
         assert replay_certificate(s, _canonical(n))
         assert calls == []
@@ -1127,6 +1117,22 @@ class TestWalkerWork:
         assert replay_certificate(s, verdict.certificate)
         assert rows == [n - 3]
         assert not hasattr(sys.modules["qubitloss.detect"], "_proportional_masks")
+
+    @pytest.mark.parametrize("n", range(5, 19))
+    def test_detect_decides_each_canonical_leaf_once(self, monkeypatch, n):
+        # The batch leaves out the two leaves the 5-qubit state's walk has
+        # decided, also from 15 qubits on, where the leaves above the first
+        # level of at most 2^14 amplitudes are formed one at a time.
+        module, rows = sys.modules["qubitloss.base"], []
+        original = module._proportional_masks
+
+        def counted(stack, *args):
+            rows.append(len(stack))
+            return original(stack, *args)
+
+        monkeypatch.setattr(module, "_proportional_masks", counted)
+        assert detect(random_state(np.random.default_rng(n), n)).certificate is _canonical(n)
+        assert sum(rows) == n - 3
 
     def test_measure_command_walks_once(self, formed, capsys):
         assert main(["measure", "--catalog", "GHZ", "--n", "8"]) == 0
